@@ -102,6 +102,8 @@ int main() {
   Stats nope_legacy = Measure(
       [&] { LegacyVerifyChain(nope_issued->chain, trust, domain, kNow + 60, nullptr); },
       kLightReps);
+  // NOPE server / NOPE client: the full client path, which verifies the
+  // proof against the deployment's prepared key.
   Stats nope_nope = Measure(
       [&] {
         NopeClientVerify(deployment, nope_issued->chain, trust, domain, kNow + 60, nullptr);

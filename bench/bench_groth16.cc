@@ -96,7 +96,7 @@ void BM_Groth16Verify(benchmark::State& state) {
   // Verification time must be independent of circuit size (§2.3).
   Fixture& f = CachedFixture(static_cast<size_t>(state.range(0)));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(groth16::Verify(f.pk.vk, f.pub, f.proof));
+    benchmark::DoNotOptimize(groth16::Verify(f.pk.vk(), f.pub, f.proof));
   }
 }
 BENCHMARK(BM_Groth16Verify)->Arg(1 << 10)->Arg(1 << 14)->Unit(benchmark::kMillisecond);

@@ -22,7 +22,7 @@ cmake -B build-san -S . -DNOPE_SANITIZE=address,undefined >/dev/null
 # The sanitizer run covers the untrusted-input surface: every unit-test
 # binary that feeds parsers, plus the fault-injection campaigns.
 SAN_TARGETS=(biguint_test hash_test field_test fp_simd_test curve_test
-             rsa_test ecdsa_test
+             pairing_test rsa_test ecdsa_test
              constraint_system_test groth16_test msm_kernel_test dns_test
              pki_test analysis_test fault_injection_test
              clock_test timer_wheel_test cancellation_test renewal_sim_test

@@ -415,6 +415,23 @@ BigUInt BigUInt::Gcd(BigUInt a, BigUInt b) {
   return a;
 }
 
+std::vector<int8_t> BigUInt::Naf() const {
+  std::vector<int8_t> digits;
+  BigUInt k = *this;
+  while (!k.IsZero()) {
+    int8_t d = 0;
+    if (k.IsOdd()) {
+      // k = 1 (mod 4) takes digit 1, k = 3 (mod 4) takes -1, so that the
+      // next bit of k - d is zero.
+      d = (k.LowU64() & 3) == 1 ? 1 : -1;
+      k = d == 1 ? k - BigUInt(1) : k + BigUInt(1);
+    }
+    digits.push_back(d);
+    k = k >> 1;
+  }
+  return digits;
+}
+
 BigUInt::HalfGcdResult BigUInt::HalfGcd(const BigUInt& n, const BigUInt& k) {
   // Run Euclid on (n, k) tracking r_i = s_i*n + t_i*k; stop when r < 2^(bits/2).
   size_t half_bits = (n.BitLength() + 1) / 2;

@@ -76,6 +76,11 @@ class BigUInt {
 
   static BigUInt Gcd(BigUInt a, BigUInt b);
 
+  // Non-adjacent form: digits d_i in {-1, 0, 1}, least significant first,
+  // no two adjacent digits nonzero, sum d_i 2^i == *this. Empty for zero.
+  // Used for signed-digit exponent chains (pairing loop count, Fp12 powers).
+  std::vector<int8_t> Naf() const;
+
   // Partial extended Euclid on (n, k): returns (v, w) with w = k*v mod n
   // (up to sign handled internally), |v|,|w| < ~sqrt(n). This is the Antipa
   // et al. half-size decomposition the ECDSA gadget validates in-circuit.

@@ -189,15 +189,6 @@ NopeClientResult NopeClientVerify(const NopeDeployment& deployment,
                                   const CertificateChain& chain, const TrustStore& trust,
                                   const DnsName& domain, uint64_t now,
                                   const OcspResponse* stapled_ocsp) {
-  return NopeClientVerify(deployment, chain, trust, domain, now, stapled_ocsp,
-                          /*pvk_cache=*/nullptr);
-}
-
-NopeClientResult NopeClientVerify(const NopeDeployment& deployment,
-                                  const CertificateChain& chain, const TrustStore& trust,
-                                  const DnsName& domain, uint64_t now,
-                                  const OcspResponse* stapled_ocsp,
-                                  PreparedVkCache* pvk_cache) {
   NopeClientResult result;
   result.legacy = LegacyVerifyChain(chain, trust, domain, now, stapled_ocsp);
   if (result.legacy != LegacyStatus::kOk) {
@@ -250,14 +241,7 @@ NopeClientResult NopeClientVerify(const NopeDeployment& deployment,
   std::vector<Fr> pub = NopePublicInputs(
       deployment.params, domain, TlsKeyDigest(chain.leaf.body.subject_public_key),
       CaNameDigest(chain.leaf.body.issuer_organization), ts);
-  bool proof_ok;
-  if (pvk_cache != nullptr) {
-    KeyCache::Handle handle = pvk_cache->Checkout(domain.ToString(), deployment.vk());
-    proof_ok = groth16::Verify(handle.As<PreparedVkEntry>()->pvk(), pub, proof.value());
-  } else {
-    proof_ok = groth16::Verify(deployment.vk(), pub, proof.value());
-  }
-  if (proof_ok) {
+  if (groth16::Verify(deployment.pk.pvk, pub, proof.value())) {
     result.status = NopeVerifyStatus::kOk;
     result.accepted = true;
     result.nope_validated = true;

@@ -10,7 +10,6 @@
 #include "src/core/statement.h"
 #include "src/groth16/groth16.h"
 #include "src/pki/san_encoding.h"
-#include "src/service/pvk_cache.h"
 #include "src/tls/handshake.h"
 
 namespace nope {
@@ -23,7 +22,7 @@ struct NopeDeployment {
   DnskeyRdata root_zsk;
   groth16::ProvingKey pk;
 
-  const groth16::VerifyingKey& vk() const { return pk.vk; }
+  const groth16::VerifyingKey& vk() const { return pk.vk(); }
 };
 
 // Runs the one-time trusted setup for the statement shape that fits
@@ -110,18 +109,9 @@ struct NopeClientResult {
 
 // Full NOPE-aware client verification: legacy checks, proof extraction from
 // the SANs, N/TS binding, SCT-timestamp cross-check, and Groth16
-// verification. Exception-free on every byte of the presented chain.
-//
-// When pvk_cache is non-null, the Groth16 check runs against a prepared
-// verifying key checked out from the cache under the domain name —
-// identical verdict (the prepared path is an exact rearrangement of the
-// pairing equation), roughly half the pairing cost after the first
-// handshake with a domain. A null cache uses the unprepared Verify.
-NopeClientResult NopeClientVerify(const NopeDeployment& deployment,
-                                  const CertificateChain& chain, const TrustStore& trust,
-                                  const DnsName& domain, uint64_t now,
-                                  const OcspResponse* stapled_ocsp,
-                                  PreparedVkCache* pvk_cache);
+// verification. Exception-free on every byte of the presented chain. The
+// Groth16 check runs against the deployment's prepared verifying key
+// (deployment.pk.pvk, built by Setup).
 NopeClientResult NopeClientVerify(const NopeDeployment& deployment,
                                   const CertificateChain& chain, const TrustStore& trust,
                                   const DnsName& domain, uint64_t now,

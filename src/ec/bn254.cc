@@ -1,84 +1,102 @@
 #include "src/ec/bn254.h"
 
 #include "src/base/check.h"
+#include "src/ec/batch_affine.h"
 
 namespace nope {
 
 namespace {
 
-// BN parameter x for alt_bn128; the ate loop count is 6x+2.
-const char* kBnXDecimal = "4965661367192848881";
-
-const BigUInt& AteLoopCount() {
-  static const BigUInt s =
-      BigUInt::FromDecimal(kBnXDecimal) * BigUInt(6) + BigUInt(2);
-  return s;
-}
-
-// Hard part exponent of the final exponentiation: (p^4 - p^2 + 1) / r.
-// The division is exact for BN curves.
-const BigUInt& HardExponent() {
-  static const BigUInt h = [] {
-    BigUInt p = Fq::params().modulus_big;
-    BigUInt p2 = p * p;
-    BigUInt p4 = p2 * p2;
-    BigUInt numerator = p4 - p2 + BigUInt(1);
-    return numerator / Bn254Order();
+// Signed digits of the ate loop count 6u + 2, most significant first,
+// without the leading 1 (the loop starts from T = Q). This is the NAF with
+// its top digits 1, 0, -1 (2^65 - 2^63) rewritten as 1, 1 (2^64 + 2^63):
+// the same 22 nonzero digits, one doubling step fewer.
+const std::vector<int8_t>& LoopDigits() {
+  static const std::vector<int8_t> digits = [] {
+    std::vector<int8_t> naf = (Bn254U() * BigUInt(6) + BigUInt(2)).Naf();
+    const size_t top = naf.size() - 1;
+    NOPE_INVARIANT(naf[top] == 1 && naf[top - 1] == 0 && naf[top - 2] == -1,
+                   "unexpected top digits in the NAF of 6u+2");
+    naf.pop_back();
+    naf[top - 1] = 1;
+    naf[top - 2] = 1;
+    return std::vector<int8_t>(naf.rbegin() + 1, naf.rend());
   }();
-  return h;
+  return digits;
 }
 
-// w^2 and w^3 as Fp12 constants, used to untwist G2 points into E(Fp12).
-Fp12 WSquared() {
-  Fp6 v{Fp2::Zero(), Fp2::One(), Fp2::Zero()};
-  return {v, Fp6::Zero()};
+// Lines per prepared G2 point: one per doubling step, one per nonzero digit,
+// two Frobenius correction lines.
+size_t NumLines() {
+  static const size_t n = [] {
+    size_t lines = 2;
+    for (int8_t d : LoopDigits()) {
+      lines += d == 0 ? 1 : 2;
+    }
+    return lines;
+  }();
+  return n;
 }
 
-Fp12 WCubed() {
-  Fp6 v{Fp2::Zero(), Fp2::One(), Fp2::Zero()};
-  return {Fp6::Zero(), v};
+const std::vector<int8_t>& UNaf() {
+  static const std::vector<int8_t> naf = Bn254U().Naf();
+  return naf;
 }
 
-Fp12 EmbedFp2(const Fp2& a) {
-  return {Fp6{a, Fp2::Zero(), Fp2::Zero()}, Fp6::Zero()};
+const Fq& TwoInv() {
+  static const Fq v = Fq::FromU64(2).Inverse();
+  return v;
 }
 
-Fp12 EmbedFq(const Fq& a) { return EmbedFp2(Fp2{a, Fq::Zero()}); }
+const Fp2& ThreeB() {
+  static const Fp2 v = Bn254G2Config::B() * Fp2{Fq::FromU64(3), Fq::Zero()};
+  return v;
+}
 
-// Affine point on E(Fp12): y^2 = x^3 + 3.
-struct Pt12 {
-  Fp12 x;
-  Fp12 y;
+// The Miller loop's running point on the twist, in homogeneous projective
+// coordinates: (X : Y : Z) stands for the affine point (X/Z, Y/Z).
+struct TwistPoint {
+  Fp2 x;
+  Fp2 y;
+  Fp2 z;
 };
 
-Pt12 Untwist(const G2::Affine& q) {
-  return {EmbedFp2(q.x) * WSquared(), EmbedFp2(q.y) * WCubed()};
+// The step formulas and their lines are those of Costello-Lange-Naehrig
+// (PKC 2010) and Aranha et al. (EUROCRYPT 2011) for y^2 = x^3 + b'. Each line
+// is the untwisted tangent or chord scaled by Fp2 factors and powers of w,
+// all of which the final exponentiation maps to 1.
+
+// Doubles *t; returns the tangent line at the old *t.
+G2PreparedLine DoublingStep(TwistPoint* t) {
+  Fp2 a = (t->x * t->y).ScalarMul(TwoInv());  // XY/2
+  Fp2 b = t->y.Square();                      // Y^2
+  Fp2 c = t->z.Square();                      // Z^2
+  Fp2 e = ThreeB() * c;                       // 3b'Z^2
+  Fp2 f = e + e + e;                          // 9b'Z^2
+  Fp2 g = (b + f).ScalarMul(TwoInv());        // (Y^2 + 9b'Z^2)/2
+  Fp2 h = (t->y + t->z).Square() - b - c;     // 2YZ
+  Fp2 j = t->x.Square();                      // X^2
+  Fp2 e2 = e.Square();
+  t->x = a * (b - f);
+  t->y = g.Square() - (e2 + e2 + e2);
+  t->z = b * h;
+  return {-h, j + j + j, e - b};
 }
 
-// Slope of the line through a and b (or the tangent at a when doubling),
-// captured together with the anchor point *before* stepping; updates *a to
-// a+b (or 2a). Splitting the slope computation from the evaluation is what
-// lets PrepareG2 record the G1-independent coefficients once and replay
-// them against many first arguments with bit-identical results.
-G2PreparedLine LineAndStep(Pt12* a, const Pt12& b, bool doubling) {
-  Fp12 lambda;
-  if (doubling) {
-    Fp12 x2 = a->x.Square();
-    lambda = (x2 + x2 + x2) * (a->y + a->y).Inverse();
-  } else {
-    lambda = (b.y - a->y) * (b.x - a->x).Inverse();
-  }
-  G2PreparedLine line{lambda, a->x, a->y};
-  Fp12 x3 = lambda.Square() - a->x - b.x;
-  Fp12 y3 = lambda * (a->x - x3) - a->y;
-  a->x = x3;
-  a->y = y3;
-  return line;
-}
-
-// Line evaluated at p = (px, py): py - ay - lambda (px - ax).
-Fp12 EvalLine(const G2PreparedLine& line, const Fp12& px, const Fp12& py) {
-  return py - line.ay - line.lambda * (px - line.ax);
+// Adds the affine point (qx, qy) to *t; returns the line through both.
+G2PreparedLine AdditionStep(TwistPoint* t, const Fp2& qx, const Fp2& qy) {
+  Fp2 theta = t->y - qy * t->z;
+  Fp2 lambda = t->x - qx * t->z;
+  Fp2 c = theta.Square();
+  Fp2 d = lambda.Square();
+  Fp2 e = lambda * d;
+  Fp2 f = t->z * c;
+  Fp2 g = t->x * d;
+  Fp2 h = e + f - g - g;
+  t->x = lambda * h;
+  t->y = theta * (g - h) - e * t->y;
+  t->z = t->z * e;
+  return {lambda, -theta, theta * qx - lambda * qy};
 }
 
 // psi coefficients: the Frobenius of an untwisted coordinate x w^2 is
@@ -106,6 +124,11 @@ Fp2 Bn254G2Config::B() {
 const BigUInt& Bn254Order() {
   static const BigUInt r = Fr::params().modulus_big;
   return r;
+}
+
+const BigUInt& Bn254U() {
+  static const BigUInt u = BigUInt::FromDecimal("4965661367192848881");
+  return u;
 }
 
 G1 G1Generator() { return G1::FromAffine(Fq::FromU64(1), Fq::FromU64(2)); }
@@ -138,16 +161,6 @@ G2 G2Psi(const G2& p) {
           p.z.Conjugate()};
 }
 
-const BigUInt& Bn254PsiEigenvalue() {
-  // t - 1 = 6u^2 for the BN trace t = 6u^2 + 1; this is the eigenvalue of
-  // psi on the order-r subgroup, as an integer below r.
-  static const BigUInt e = [] {
-    BigUInt u = BigUInt::FromDecimal(kBnXDecimal);
-    return u * u * BigUInt(6);
-  }();
-  return e;
-}
-
 bool G2InSubgroup(const G2& p) {
   if (!p.IsOnCurve()) {
     return false;
@@ -155,48 +168,27 @@ bool G2InSubgroup(const G2& p) {
   if (p.IsInfinity()) {
     return true;
   }
-  // Soundness: psi satisfies its characteristic equation
-  //   psi^2 - [t] psi + [p] = 0
-  // on all of E'(Fp2). If psi(P) = [6u^2]P then substituting gives
-  // [36u^4 - 6u^2 t + p]P = O, and with t = 6u^2 + 1 the scalar collapses
-  // to p - 6u^2 = r, so P has order dividing the prime r. Completeness: on
-  // the order-r subgroup psi acts as [p mod r] = [6u^2]. Differentially
-  // tested against G2InSubgroupReference.
-  return G2Psi(p).Equals(p.ScalarMul(Bn254PsiEigenvalue()));
+  // El Housni, Guillevic and Piellard, "Co-factor clearing and subgroup
+  // membership testing on pairing-friendly curves" (AFRICACRYPT 2022): P is
+  // in G2 iff phi(P) = O for the endomorphism
+  //   phi = [u+1] + [u] psi + [u] psi^2 - [2u] psi^3.
+  // Completeness: on G2, psi acts as [p] and u+1 + up + up^2 - 2up^3 = 0
+  // (mod r). Soundness: reducing phi with psi^2 = [t] psi - [p] gives
+  // alpha + beta psi, of degree N = alpha^2 + alpha beta t + beta^2 p. The
+  // Fp2-rational kernel of phi has order dividing gcd(N, #E'(Fp2)), and
+  // #E'(Fp2) = r (2p - r) with N = r m, gcd(m, 2p - r) = 1 and r not
+  // dividing 2p - r, so that kernel is G2 itself. The test suite checks
+  // these identities; G2InSubgroupReference is the differential oracle.
+  G2 up = p.ScalarMul(Bn254U());
+  G2 psi_up = G2Psi(up);
+  G2 psi2_up = G2Psi(psi_up);
+  G2 lhs = up.Add(p).Add(psi_up).Add(psi2_up);
+  G2 rhs = G2Psi(psi2_up).Double();
+  return lhs.Equals(rhs);
 }
 
 bool G2InSubgroupReference(const G2& p) {
   return p.IsOnCurve() && p.ScalarMul(Bn254Order()).IsInfinity();
-}
-
-Fp12 MillerLoop(const G1& p, const G2& q) {
-  if (p.IsInfinity() || q.IsInfinity()) {
-    return Fp12::One();
-  }
-  G1::Affine pa = p.ToAffine();
-  G2::Affine qa = q.ToAffine();
-  Fp12 px = EmbedFq(pa.x);
-  Fp12 py = EmbedFq(pa.y);
-
-  Pt12 q12 = Untwist(qa);
-  Pt12 t = q12;
-  Fp12 f = Fp12::One();
-
-  const BigUInt& s = AteLoopCount();
-  for (size_t i = s.BitLength() - 1; i-- > 0;) {
-    f = f.Square() * EvalLine(LineAndStep(&t, t, /*doubling=*/true), px, py);
-    if (s.Bit(i)) {
-      f = f * EvalLine(LineAndStep(&t, q12, /*doubling=*/false), px, py);
-    }
-  }
-
-  // Frobenius correction steps of the optimal ate pairing.
-  Pt12 q1{q12.x.Frobenius(1), q12.y.Frobenius(1)};
-  Pt12 q2{q12.x.Frobenius(2), q12.y.Frobenius(2)};
-  f = f * EvalLine(LineAndStep(&t, q1, /*doubling=*/false), px, py);
-  Pt12 neg_q2{q2.x, -q2.y};
-  f = f * EvalLine(LineAndStep(&t, neg_q2, /*doubling=*/false), px, py);
-  return f;
 }
 
 G2Prepared PrepareG2(const G2& q) {
@@ -206,72 +198,123 @@ G2Prepared PrepareG2(const G2& q) {
   }
   out.infinity = false;
   G2::Affine qa = q.ToAffine();
-  Pt12 q12 = Untwist(qa);
-  Pt12 t = q12;
+  // psi(Q) and psi^2(Q) for the correction steps. psi keeps Z = 1, so
+  // their Jacobian (x, y) are affine coordinates.
+  G2 q1 = G2Psi(G2::FromAffinePoint(qa));
+  G2 q2 = G2Psi(q1);
 
-  const BigUInt& s = AteLoopCount();
-  // One line per doubling, one per set loop bit, two correction lines.
-  size_t bits = s.BitLength() - 1;
-  size_t adds = 0;
-  for (size_t i = 0; i + 1 < s.BitLength(); ++i) {
-    adds += s.Bit(i) ? 1 : 0;
-  }
-  out.lines.reserve(bits + adds + 2);
-
-  for (size_t i = s.BitLength() - 1; i-- > 0;) {
-    out.lines.push_back(LineAndStep(&t, t, /*doubling=*/true));
-    if (s.Bit(i)) {
-      out.lines.push_back(LineAndStep(&t, q12, /*doubling=*/false));
+  TwistPoint t{qa.x, qa.y, Fp2::One()};
+  out.lines.reserve(NumLines());
+  for (int8_t d : LoopDigits()) {
+    out.lines.push_back(DoublingStep(&t));
+    if (d == 1) {
+      out.lines.push_back(AdditionStep(&t, qa.x, qa.y));
+    } else if (d == -1) {
+      out.lines.push_back(AdditionStep(&t, qa.x, -qa.y));
     }
   }
-  Pt12 q1{q12.x.Frobenius(1), q12.y.Frobenius(1)};
-  Pt12 q2{q12.x.Frobenius(2), q12.y.Frobenius(2)};
-  out.lines.push_back(LineAndStep(&t, q1, /*doubling=*/false));
-  Pt12 neg_q2{q2.x, -q2.y};
-  out.lines.push_back(LineAndStep(&t, neg_q2, /*doubling=*/false));
+  // Optimal ate correction: T = [6u+2]Q, then add psi(Q) and -psi^2(Q).
+  out.lines.push_back(AdditionStep(&t, q1.x, q1.y));
+  out.lines.push_back(AdditionStep(&t, q2.x, -q2.y));
   return out;
 }
 
-Fp12 MillerLoop(const G1& p, const G2Prepared& q) {
-  if (p.IsInfinity() || q.infinity) {
+Fp12 MultiMillerLoop(const std::vector<std::pair<G1, const G2Prepared*>>& pairs) {
+  std::vector<G1> ps;
+  std::vector<const G2Prepared*> qs;
+  for (const auto& [p, q] : pairs) {
+    if (p.IsInfinity() || q->infinity) {
+      continue;
+    }
+    NOPE_INVARIANT(q->lines.size() == NumLines(),
+                   "G2Prepared line schedule out of sync with the ate loop");
+    ps.push_back(p);
+    qs.push_back(q);
+  }
+  if (ps.empty()) {
     return Fp12::One();
   }
-  G1::Affine pa = p.ToAffine();
-  Fp12 px = EmbedFq(pa.x);
-  Fp12 py = EmbedFq(pa.y);
+  // One shared field inversion for all the G1 sides.
+  std::vector<G1Affine> pa = BatchToAffine(ps);
 
   Fp12 f = Fp12::One();
   size_t k = 0;
-  const BigUInt& s = AteLoopCount();
-  for (size_t i = s.BitLength() - 1; i-- > 0;) {
-    f = f.Square() * EvalLine(q.lines[k++], px, py);
-    if (s.Bit(i)) {
-      f = f * EvalLine(q.lines[k++], px, py);
+  auto mul_lines = [&] {
+    for (size_t i = 0; i < pa.size(); ++i) {
+      const G2PreparedLine& line = qs[i]->lines[k];
+      f = f.MulBy034(line.c0.ScalarMul(pa[i].y), line.c1.ScalarMul(pa[i].x), line.c2);
+    }
+    ++k;
+  };
+  for (int8_t d : LoopDigits()) {
+    f = f.Square();
+    mul_lines();
+    if (d != 0) {
+      mul_lines();
     }
   }
-  f = f * EvalLine(q.lines[k++], px, py);
-  f = f * EvalLine(q.lines[k++], px, py);
-  NOPE_INVARIANT(k == q.lines.size(),
-                 "G2Prepared line schedule out of sync with the ate loop");
+  mul_lines();
+  mul_lines();
   return f;
 }
 
+Fp12 MillerLoop(const G1& p, const G2Prepared& q) { return MultiMillerLoop({{p, &q}}); }
+
+Fp12 MillerLoop(const G1& p, const G2& q) {
+  if (p.IsInfinity() || q.IsInfinity()) {
+    return Fp12::One();
+  }
+  return MillerLoop(p, PrepareG2(q));
+}
+
 Fp12 FinalExponentiation(const Fp12& f) {
-  // Easy part: f^((p^6 - 1)(p^2 + 1)).
+  // Easy part: t = f^((p^6 - 1)(p^2 + 1)), which lands in the cyclotomic
+  // subgroup, where the inverse is the conjugate.
   Fp12 t = f.Conjugate() * f.Inverse();
   t = t.Frobenius(2) * t;
-  // Hard part: t^((p^4 - p^2 + 1)/r), computed by plain exponentiation.
-  return t.Pow(HardExponent());
+
+  // Hard part, Scott et al. (Pairing 2009): as integers,
+  //   (p^4 - p^2 + 1)/r = l0 + l1 p + l2 p^2 + p^3
+  // with l2 = 6u^2 + 1, l1 = -36u^3 - 18u^2 - 12u + 1 and
+  // l0 = -36u^3 - 30u^2 - 18u - 2, so the chain raises t to exactly
+  // (p^4 - p^2 + 1)/r, not to a multiple of it. From t^u, t^(u^2) and
+  // t^(u^3), it computes
+  //   y0 y1^2 y2^6 y3^12 y4^18 y5^30 y6^36.
+  Fp12 fu = t.CyclotomicPow(UNaf());
+  Fp12 fu2 = fu.CyclotomicPow(UNaf());
+  Fp12 fu3 = fu2.CyclotomicPow(UNaf());
+  Fp12 y0 = t.Frobenius(1) * t.Frobenius(2) * t.Frobenius(3);
+  Fp12 y1 = t.Conjugate();
+  Fp12 y2 = fu2.Frobenius(2);
+  Fp12 y3 = fu.Frobenius(1).Conjugate();
+  Fp12 y4 = (fu * fu2.Frobenius(1)).Conjugate();
+  Fp12 y5 = fu2.Conjugate();
+  Fp12 y6 = (fu3 * fu3.Frobenius(1)).Conjugate();
+
+  Fp12 t0 = y6.CyclotomicSquare() * y4 * y5;
+  Fp12 t1 = y3 * y5 * t0;
+  t0 = t0 * y2;
+  t1 = (t1.CyclotomicSquare() * t0).CyclotomicSquare();
+  t0 = t1 * y1;
+  t1 = t1 * y0;
+  t0 = t0.CyclotomicSquare();
+  return t1 * t0;
 }
 
 Fp12 Pairing(const G1& p, const G2& q) { return FinalExponentiation(MillerLoop(p, q)); }
 
 bool PairingProductIsOne(const std::vector<std::pair<G1, G2>>& pairs) {
-  Fp12 f = Fp12::One();
+  std::vector<G2Prepared> prepared;
+  prepared.reserve(pairs.size());
   for (const auto& [p, q] : pairs) {
-    f = f * MillerLoop(p, q);
+    prepared.push_back(p.IsInfinity() ? G2Prepared() : PrepareG2(q));
   }
-  return FinalExponentiation(f).IsOne();
+  std::vector<std::pair<G1, const G2Prepared*>> terms;
+  terms.reserve(pairs.size());
+  for (size_t i = 0; i < pairs.size(); ++i) {
+    terms.push_back({pairs[i].first, &prepared[i]});
+  }
+  return FinalExponentiation(MultiMillerLoop(terms)).IsOne();
 }
 
 }  // namespace nope

@@ -1,7 +1,6 @@
 // Generic short-Weierstrass elliptic-curve arithmetic in Jacobian
 // coordinates, over any field with the Fp-style interface. Instantiated for
-// BN254 G1 (Groth16), BN254 G2 over Fp2, the untwisted curve over Fp12
-// (pairing), and NIST P-256 (DNSSEC ECDSA).
+// BN254 G1 (Groth16), BN254 G2 over Fp2, and NIST P-256 (DNSSEC ECDSA).
 #ifndef SRC_EC_CURVE_H_
 #define SRC_EC_CURVE_H_
 
@@ -31,6 +30,7 @@ struct AffinePoint {
 //   using Field = ...;
 //   static Field A();
 //   static Field B();
+//   static constexpr bool kAIsZero;  // A() == 0: the a-terms compile away
 template <typename Config>
 struct EcPoint {
   using Field = typename Config::Field;
@@ -93,7 +93,10 @@ struct EcPoint {
     Field zz = z.Square();
     Field s = ((x + yy).Square() - xx - yyyy);
     s = s + s;
-    Field m = xx + xx + xx + Config::A() * zz.Square();
+    Field m = xx + xx + xx;
+    if constexpr (!Config::kAIsZero) {
+      m = m + Config::A() * zz.Square();
+    }
     Field t = m.Square() - s - s;
     Field y3 = m * (s - t) - Eight(yyyy);
     Field z3 = (y + z).Square() - yy - zz;
@@ -185,7 +188,11 @@ struct EcPoint {
     Field z2 = z.Square();
     Field z4 = z2.Square();
     Field z6 = z4 * z2;
-    return y.Square() == x.Square() * x + Config::A() * x * z4 + Config::B() * z6;
+    Field rhs = x.Square() * x + Config::B() * z6;
+    if constexpr (!Config::kAIsZero) {
+      rhs = rhs + Config::A() * x * z4;
+    }
+    return y.Square() == rhs;
   }
 
  private:

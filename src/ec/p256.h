@@ -10,6 +10,7 @@ namespace nope {
 
 struct P256Config {
   using Field = P256Fq;
+  static constexpr bool kAIsZero = false;
   static Field A() {
     static const Field a = Field::Zero() - Field::FromU64(3);
     return a;

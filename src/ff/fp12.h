@@ -2,6 +2,9 @@
 #ifndef SRC_FF_FP12_H_
 #define SRC_FF_FP12_H_
 
+#include <cstdint>
+#include <vector>
+
 #include "src/ff/fp6.h"
 
 namespace nope {
@@ -37,8 +40,29 @@ struct Fp12 {
     return {lhs, v0 + v0};
   }
 
+  // Multiplication by the sparse element a + (b + c v) w, the shape of a
+  // Miller-loop line on BN254's D-type twist: 13 Fp2 multiplications
+  // against 18 for a dense product.
+  Fp12 MulBy034(const Fp2& a, const Fp2& b, const Fp2& c) const {
+    Fp6 t0 = c0.ScalarMulFp2(a);
+    Fp6 t1 = c1.MulBy01(b, c);
+    Fp6 mid = (c0 + c1).MulBy01(a + b, c) - t0 - t1;
+    return {t0 + t1.MulByV(), mid};
+  }
+
   // p^6-power Frobenius: conjugation over Fp6.
   Fp12 Conjugate() const { return {c0, -c1}; }
+
+  // The next two are valid only in the cyclotomic subgroup (elements of
+  // order dividing p^4 - p^2 + 1, e.g. any FinalExponentiation output),
+  // where Conjugate() is the inverse.
+  //
+  // Granger-Scott squaring: three Fp4 squarings (9 Fp2 products, 6 of them
+  // squares) against 12 Fp2 multiplications for Square().
+  Fp12 CyclotomicSquare() const;
+  // *this^e for e given as signed digits in {-1, 0, 1}, least significant
+  // first (BigUInt::Naf()); a -1 digit multiplies by the conjugate.
+  Fp12 CyclotomicPow(const std::vector<int8_t>& naf) const;
 
   Fp12 Inverse() const {
     Fp6 norm = c0.Square() - c1.Square().MulByV();

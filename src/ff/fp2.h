@@ -64,12 +64,16 @@ struct Fp2 {
 };
 
 // Non-residue used to build Fp6: xi = 9 + u.
-inline Fp2 Xi() { return {Fq::FromU64(9), Fq::One()}; }
+inline const Fp2& Xi() {
+  static const Fp2 xi{Fq::FromU64(9), Fq::One()};
+  return xi;
+}
 
-// Multiplication by xi, used in the Fp6/Fp12 reduction steps.
+// Multiplication by xi, used in the Fp6/Fp12 reduction steps (twice per Fp6
+// multiply).
 inline Fp2 MulByXi(const Fp2& a) {
   // (9 + u)(c0 + c1 u) = (9 c0 - c1) + (9 c1 + c0) u.
-  Fq nine = Fq::FromU64(9);
+  static const Fq nine = Fq::FromU64(9);
   return {nine * a.c0 - a.c1, nine * a.c1 + a.c0};
 }
 

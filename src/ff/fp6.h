@@ -35,6 +35,16 @@ struct Fp6 {
 
   Fp6 Square() const { return *this * *this; }
 
+  // Multiplication by the sparse element b0 + b1 v: 5 Fp2 multiplications.
+  Fp6 MulBy01(const Fp2& b0, const Fp2& b1) const {
+    Fp2 v0 = c0 * b0;
+    Fp2 v1 = c1 * b1;
+    Fp2 t0 = (c1 + c2) * b1 - v1;                  // c2*b1
+    Fp2 t1 = (c0 + c1) * (b0 + b1) - v0 - v1;      // c0*b1 + c1*b0
+    Fp2 t2 = (c0 + c2) * b0 - v0 + v1;             // c2*b0 + c1*b1
+    return {v0 + MulByXi(t0), t1, t2};
+  }
+
   Fp6 ScalarMulFp2(const Fp2& s) const { return {c0 * s, c1 * s, c2 * s}; }
 
   // Multiplication by v: (c0 + c1 v + c2 v^2) * v = xi*c2 + c0 v + c1 v^2.

@@ -342,10 +342,11 @@ ProvingKey Setup(const ConstraintSystem& cs, Rng* rng) {
   pk.num_constraints = num_constraints;
   pk.domain_size = domain.size();
 
-  pk.vk.alpha_g1 = t1.Mul(alpha.ToBigUInt());
-  pk.vk.beta_g2 = t2.Mul(beta.ToBigUInt());
-  pk.vk.gamma_g2 = t2.Mul(gamma.ToBigUInt());
-  pk.vk.delta_g2 = t2.Mul(delta.ToBigUInt());
+  VerifyingKey vk;
+  vk.alpha_g1 = t1.Mul(alpha.ToBigUInt());
+  vk.beta_g2 = t2.Mul(beta.ToBigUInt());
+  vk.gamma_g2 = t2.Mul(gamma.ToBigUInt());
+  vk.delta_g2 = t2.Mul(delta.ToBigUInt());
   pk.beta_g1 = t1.Mul(beta.ToBigUInt());
   pk.delta_g1 = t1.Mul(delta.ToBigUInt());
 
@@ -373,11 +374,12 @@ ProvingKey Setup(const ConstraintSystem& cs, Rng* rng) {
   pk.b_g1_query = BatchToAffine(b_g1_jac);
   pk.b_g2_query = BatchToAffine(b_g2_jac);
 
-  pk.vk.ic.reserve(num_public);
+  vk.ic.reserve(num_public);
   for (size_t i = 0; i < num_public; ++i) {
     Fr k = (beta * a_tau[i] + alpha * b_tau[i] + c_tau[i]) * gamma_inv;
-    pk.vk.ic.push_back(t1.Mul(k.ToBigUInt()));
+    vk.ic.push_back(t1.Mul(k.ToBigUInt()));
   }
+  pk.pvk = PrepareVerifyingKey(vk);
   std::vector<G1> l_jac(num_vars - num_public);
   pool.ParallelFor(num_public, num_vars,
                    ThreadPool::ComputeMinChunk(num_vars - num_public,
@@ -538,10 +540,10 @@ ProveResult Prove(const ProvingKey& pk, const ConstraintSystem& cs, Rng* rng,
   Fr r = Fr::Random(rng);
   Fr s = Fr::Random(rng);
 
-  G1 a = pk.vk.alpha_g1.Add(MsmAffine(pk.a_query, z_all, &cancel))
+  G1 a = pk.vk().alpha_g1.Add(MsmAffine(pk.a_query, z_all, &cancel))
              .Add(pk.delta_g1.ScalarMul(r.ToBigUInt()));
-  G2 b = pk.vk.beta_g2.Add(MsmAffine(pk.b_g2_query, z_all, &cancel))
-             .Add(pk.vk.delta_g2.ScalarMul(s.ToBigUInt()));
+  G2 b = pk.vk().beta_g2.Add(MsmAffine(pk.b_g2_query, z_all, &cancel))
+             .Add(pk.vk().delta_g2.ScalarMul(s.ToBigUInt()));
   G1 b_g1 = pk.beta_g1.Add(MsmAffine(pk.b_g1_query, z_all, &cancel))
                 .Add(pk.delta_g1.ScalarMul(s.ToBigUInt()));
   if (cancel.cancelled()) {
@@ -609,14 +611,12 @@ bool Verify(const VerifyingKey& vk, const std::vector<Fr>& public_inputs, const 
 
 size_t PreparedVerifyingKey::SizeBytes() const {
   return sizeof(*this) + vk.ic.capacity() * sizeof(G1) +
-         beta_prep.SizeBytes() + gamma_prep.SizeBytes() +
-         delta_prep.SizeBytes();
+         gamma_prep.SizeBytes() + delta_prep.SizeBytes();
 }
 
 PreparedVerifyingKey PrepareVerifyingKey(const VerifyingKey& vk) {
   PreparedVerifyingKey pvk;
   pvk.vk = vk;
-  pvk.beta_prep = PrepareG2(vk.beta_g2);
   pvk.gamma_prep = PrepareG2(vk.gamma_g2);
   pvk.delta_prep = PrepareG2(vk.delta_g2);
   pvk.alpha_beta = Pairing(vk.alpha_g1, vk.beta_g2);
@@ -636,9 +636,10 @@ bool Verify(const PreparedVerifyingKey& pvk, const std::vector<Fr>& public_input
   // e(A, B) e(-IC, gamma) e(-C, delta) = e(alpha, beta), the unprepared
   // equation with the constant factor moved to the right-hand side (exact
   // rearrangement: the final exponentiation is a homomorphism).
-  Fp12 f = MillerLoop(proof.a, proof.b) *
-           MillerLoop(ic.Negate(), pvk.gamma_prep) *
-           MillerLoop(proof.c.Negate(), pvk.delta_prep);
+  G2Prepared b_prep = PrepareG2(proof.b);
+  Fp12 f = MultiMillerLoop({{proof.a, &b_prep},
+                            {ic.Negate(), &pvk.gamma_prep},
+                            {proof.c.Negate(), &pvk.delta_prep}});
   return FinalExponentiation(f) == pvk.alpha_beta;
 }
 
@@ -677,8 +678,8 @@ BatchVerifyResult BatchVerify(const PreparedVerifyingKey& pvk,
   }
 
   // Aggregate the fixed-G2 sides in the exponent (cheap Fr arithmetic), so
-  // the whole batch pays one IC MSM, one C MSM and two line-replay Miller
-  // loops:
+  // the whole batch pays one IC MSM, one C MSM and two prepared pairs in
+  // the multi-Miller loop:
   //   prod_i e(A_i, B_i)^{z_i}
   //     = e(alpha, beta)^{sum z_i} e(sum z_i IC_i, gamma) e(sum z_i C_i, delta).
   std::vector<Fr> ic_scalars(pvk.vk.ic.size(), Fr::Zero());
@@ -703,14 +704,21 @@ BatchVerifyResult BatchVerify(const PreparedVerifyingKey& pvk,
   G1 ic_agg = Msm(pvk.vk.ic, ic_big);
   G1 c_agg = Msm(c_bases, c_scalars);
 
-  Fp12 f = Fp12::One();
-  for (size_t k = 0; k < candidates.size(); ++k) {
-    const Proof& proof = batch[candidates[k]].proof;
-    f = f * MillerLoop(proof.a.ScalarMul(z[k].ToBigUInt()), proof.b);
+  std::vector<G2Prepared> b_prep;
+  b_prep.reserve(candidates.size());
+  for (size_t i : candidates) {
+    b_prep.push_back(PrepareG2(batch[i].proof.b));
   }
-  f = f * MillerLoop(ic_agg.Negate(), pvk.gamma_prep) *
-      MillerLoop(c_agg.Negate(), pvk.delta_prep);
-  bool combined = FinalExponentiation(f) == pvk.alpha_beta.Pow(z_sum.ToBigUInt());
+  std::vector<std::pair<G1, const G2Prepared*>> terms;
+  terms.reserve(candidates.size() + 2);
+  for (size_t k = 0; k < candidates.size(); ++k) {
+    terms.push_back({batch[candidates[k]].proof.a.ScalarMul(z[k].ToBigUInt()), &b_prep[k]});
+  }
+  terms.push_back({ic_agg.Negate(), &pvk.gamma_prep});
+  terms.push_back({c_agg.Negate(), &pvk.delta_prep});
+  // e(alpha, beta) is a pairing value, so the cyclotomic power applies.
+  bool combined = FinalExponentiation(MultiMillerLoop(terms)) ==
+                  pvk.alpha_beta.CyclotomicPow(z_sum.ToBigUInt().Naf());
 
   if (combined) {
     // Completeness of the combined check is exact, so structural rejects

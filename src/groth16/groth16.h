@@ -51,8 +51,34 @@ struct VerifyingKey {
   std::vector<G1> ic;  // one per public variable, including the constant 1
 };
 
+// Precomputed verifier state for one verifying key. The G2 inputs of the
+// pairing product that never change per deployment — gamma, delta — have
+// their Miller-loop lines computed once here, and e(alpha, beta) is fully
+// paired. A prepared verification is then one multi-Miller loop over
+// (A, B) with B prepared on the spot and the two stored line sets, plus one
+// final exponentiation; the unprepared path prepares all four G2 points and
+// loops over four pairs. Verdicts are identical to the unprepared path on
+// every input (asserted by the mutation harness): the checks differ only by
+// moving the constant e(alpha, beta) to the right-hand side, which is exact,
+// not probabilistic.
+struct PreparedVerifyingKey {
+  VerifyingKey vk;        // for the IC combination
+  G2Prepared gamma_prep;  // lines for gamma_g2
+  G2Prepared delta_prep;  // lines for delta_g2
+  Fp12 alpha_beta;        // e(alpha_g1, beta_g2)
+
+  // Resident footprint (the proving service's key-cache byte budget).
+  size_t SizeBytes() const;
+};
+
+PreparedVerifyingKey PrepareVerifyingKey(const VerifyingKey& vk);
+
 struct ProvingKey {
-  VerifyingKey vk;
+  // The verifying key, prepared at Setup; pvk.vk is the key's only copy of
+  // the plain verifying key.
+  PreparedVerifyingKey pvk;
+  const VerifyingKey& vk() const { return pvk.vk; }
+
   G1 beta_g1;
   G1 delta_g1;
   // Query tables are stored affine: the MSM kernel consumes affine bases
@@ -70,6 +96,7 @@ struct ProvingKey {
 
 // Statement-specific one-time setup. The constraint system may carry any
 // satisfying or non-satisfying assignment; only its matrices matter here.
+// The returned key carries its verifying key already prepared.
 ProvingKey Setup(const ConstraintSystem& cs, Rng* rng);
 
 // Produces a zero-knowledge proof for the assignment held in cs (which must
@@ -129,32 +156,9 @@ ProveResult Prove(const ProvingKey& pk, const ConstraintSystem& cs, Rng* rng,
 // bilinear map.
 bool Verify(const VerifyingKey& vk, const std::vector<Fr>& public_inputs, const Proof& proof);
 
-// Precomputed verifier state for one verifying key (ROADMAP item 1). The G2
-// inputs of the pairing product — beta, gamma, delta — never change per
-// deployment, so their Miller-loop line coefficients are computed once
-// here; e(alpha, beta) is fully paired. A prepared verification then costs
-// one fresh Miller loop (A, B), two line-replay loops (gamma, delta), and
-// one final exponentiation, against four fresh loops for the unprepared
-// path. Verdicts are identical to the unprepared path on every input
-// (asserted by the mutation harness): the checks differ only by moving the
-// constant e(alpha, beta) to the right-hand side, which is exact, not
-// probabilistic.
-struct PreparedVerifyingKey {
-  VerifyingKey vk;      // retained for the IC combination and fallback
-  G2Prepared beta_prep;   // lines for beta_g2 (differential tests; the
-                          // verification equation uses alpha_beta instead)
-  G2Prepared gamma_prep;  // lines for gamma_g2
-  G2Prepared delta_prep;  // lines for delta_g2
-  Fp12 alpha_beta;        // e(alpha_g1, beta_g2)
-
-  // Resident footprint for cache byte budgeting (service KeyCache).
-  size_t SizeBytes() const;
-};
-
-PreparedVerifyingKey PrepareVerifyingKey(const VerifyingKey& vk);
-
 // Single-proof verification against a prepared key. Same point-check
-// contract and same verdict as Verify(vk, ...), at roughly half the cost.
+// contract and same verdict as Verify(vk, ...); it skips the three G2
+// preparations and the e(alpha, beta) Miller loop that path pays per proof.
 bool Verify(const PreparedVerifyingKey& pvk, const std::vector<Fr>& public_inputs,
             const Proof& proof);
 
@@ -174,11 +178,11 @@ struct BatchVerifyResult {
   std::vector<size_t> rejected;
 };
 
-// Random-linear-combination batch verification: N proofs cost N Miller
-// loops (z_i A_i, B_i), two line-replay loops over the aggregated gamma and
-// delta G1 sides, one final exponentiation and one Fp12 exponentiation of
-// the precomputed e(alpha, beta) — versus 4N loops and N final
-// exponentiations unbatched.
+// Random-linear-combination batch verification: N proofs cost one
+// multi-Miller loop over N + 2 pairs ((z_i A_i, B_i) plus the aggregated
+// gamma and delta G1 sides), one final exponentiation and one cyclotomic
+// exponentiation of the precomputed e(alpha, beta) — versus N loops over
+// three pairs and N final exponentiations unbatched.
 //
 // Soundness: each member's pairing equation is raised to an independent
 // uniformly random nonzero z_i drawn from `rng`; a batch containing an

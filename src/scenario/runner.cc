@@ -118,11 +118,11 @@ bool RealProofEligible(const ScenarioSpec& spec) {
 }
 
 // Real Groth16 pass over the scenario's own (live) hierarchy: trusted
-// setup, one issuance, and a full NopeClientVerify — through the prepared-VK
-// cache when one is supplied. Returns whether the client accepted the proof.
+// setup, one issuance, and a full NopeClientVerify. Returns whether the
+// client accepted the proof.
 bool RealProofSpotCheck(const ScenarioSpec& spec, DnssecHierarchy* dns,
                         const DnsName& domain, CertificateAuthority* ca,
-                        uint64_t now_s, PreparedVkCache* pvk_cache) {
+                        uint64_t now_s) {
   Rng rng(spec.seed ^ 0x9f'0008);
   EcdsaKeyPair tls_key = GenerateEcdsaKey(&rng);
   NopeDeployment deployment =
@@ -136,7 +136,7 @@ bool RealProofSpotCheck(const ScenarioSpec& spec, DnssecHierarchy* dns,
   TrustStore trust{ca->root_public_key(), 1};
   NopeClientResult verdict =
       NopeClientVerify(deployment, issued->chain, trust, domain, now_s + 60,
-                       /*stapled_ocsp=*/nullptr, pvk_cache);
+                       /*stapled_ocsp=*/nullptr);
   return verdict.status == NopeVerifyStatus::kOk;
 }
 
@@ -336,8 +336,7 @@ ScenarioResult RunScenario(const ScenarioSpec& spec, const RunnerOptions& option
 
   if (options.real_proof_check && result.outcome == ScenarioOutcome::kProved &&
       RealProofEligible(spec)) {
-    if (!RealProofSpotCheck(spec, &dns, domain, &ca, clock.NowMs() / 1000,
-                            options.pvk_cache)) {
+    if (!RealProofSpotCheck(spec, &dns, domain, &ca, clock.NowMs() / 1000)) {
       // Demotion trips the healthy-class invariant below: a placeholder
       // "proved" that the real circuit cannot back is a runner bug.
       result.outcome = ScenarioOutcome::kRejected;

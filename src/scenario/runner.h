@@ -19,7 +19,6 @@
 #include "src/core/downgrade.h"
 #include "src/core/renewal.h"
 #include "src/scenario/scenario.h"
-#include "src/service/pvk_cache.h"
 
 namespace nope {
 
@@ -34,9 +33,6 @@ struct ScenarioResult {
 // Optional extras for a run. The defaults reproduce the historical
 // behavior byte for byte (the sweep digest contract depends on that).
 struct RunnerOptions {
-  // When non-null, the real-proof spot-check below verifies through this
-  // cache (prepared-VK path, keyed by the scenario's domain).
-  PreparedVkCache* pvk_cache = nullptr;
   // Spot-check a kProved outcome with a REAL Groth16 deployment: for
   // scenario classes whose chains the circuit supports (all-ECDSA, fully
   // signed — kHealthyEcdsa and kDeepDelegation), run trusted setup +

@@ -404,7 +404,7 @@ size_t ProvingKeyEntry::SizeBytes() const {
   bytes += pk.b_g2_query.size() * sizeof(G2Affine);
   bytes += pk.l_query.size() * sizeof(G1Affine);
   bytes += pk.h_query.size() * sizeof(G1Affine);
-  bytes += pk.vk.ic.size() * sizeof(G1);
+  bytes += pk.pvk.SizeBytes() - sizeof(pk.pvk);
   return bytes;
 }
 

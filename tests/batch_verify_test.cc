@@ -7,8 +7,8 @@
 // the point-check contract exists for.
 //
 // Also pinned here: the prepared-VK path returns byte-identical verdicts to
-// the unprepared path, for NOPE_THREADS in {1, 2, 7}, and the per-domain
-// PreparedVkCache serves hits without changing verdicts.
+// the unprepared path, for NOPE_THREADS in {1, 2, 7}, and the prepared key
+// Setup returns is the one PrepareVerifyingKey builds.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -16,7 +16,6 @@
 #include "src/base/mutator.h"
 #include "src/base/threadpool.h"
 #include "src/groth16/groth16.h"
-#include "src/service/pvk_cache.h"
 
 namespace nope {
 namespace {
@@ -74,9 +73,9 @@ G2 CofactorTorsionPoint(Rng* rng) {
 }
 
 // Shared expensive fixture: one setup, four valid (statement, proof) pairs.
+// Verification runs against the prepared key Setup returns (pk.pvk).
 struct Fixture {
   groth16::ProvingKey pk;
-  groth16::PreparedVerifyingKey pvk;
   std::vector<groth16::BatchEntry> valid;  // one per statement
   G2 torsion;                              // reusable out-of-subgroup offset
 
@@ -88,7 +87,6 @@ struct Fixture {
         {3, 35}, {2, 15}, {4, 73}, {5, 135}};
     ConstraintSystem shape = CubicCircuit(3, 35);
     pk = groth16::Setup(shape, &rng);
-    pvk = groth16::PrepareVerifyingKey(pk.vk);
     for (auto [w, x] : kStatements) {
       ConstraintSystem cs = CubicCircuit(w, x);
       groth16::BatchEntry e;
@@ -177,14 +175,14 @@ TEST(BatchVerifyHarness, AgreesWithMemberwiseVerifyAcross1000Batches) {
 
     std::vector<size_t> expect_rejected;
     for (size_t i = 0; i < n; ++i) {
-      if (!groth16::Verify(f.pvk, batch[i].public_inputs, batch[i].proof)) {
+      if (!groth16::Verify(f.pk.pvk, batch[i].public_inputs, batch[i].proof)) {
         expect_rejected.push_back(i);
       }
     }
 
     Rng batch_rng(0xba7c4 ^ static_cast<uint64_t>(iter));
     groth16::BatchVerifyResult res =
-        groth16::BatchVerify(f.pvk, batch, &batch_rng);
+        groth16::BatchVerify(f.pk.pvk, batch, &batch_rng);
     ASSERT_EQ(res.all_ok, expect_rejected.empty())
         << "batch " << iter << ": all_ok disagrees with member-wise Verify";
     ASSERT_EQ(res.rejected, expect_rejected) << "batch " << iter;
@@ -199,7 +197,7 @@ TEST(BatchVerifyHarness, AgreesWithMemberwiseVerifyAcross1000Batches) {
 TEST(BatchVerifyHarness, EmptyBatchIsVacuouslyOk) {
   Fixture& f = fixture();
   Rng rng(8903);
-  groth16::BatchVerifyResult res = groth16::BatchVerify(f.pvk, {}, &rng);
+  groth16::BatchVerifyResult res = groth16::BatchVerify(f.pk.pvk, {}, &rng);
   EXPECT_TRUE(res.all_ok);
   EXPECT_TRUE(res.rejected.empty());
 }
@@ -222,12 +220,12 @@ TEST(BatchVerifyHarness, PreparedVerdictsIdenticalAcrossThreadCounts) {
     for (int iter = 0; iter < 40; ++iter) {
       groth16::BatchEntry e = MutantEntry(&rng, &mutator);
       rec.prepared.push_back(
-          groth16::Verify(f.pvk, e.public_inputs, e.proof));
+          groth16::Verify(f.pk.pvk, e.public_inputs, e.proof));
       rec.unprepared.push_back(
-          groth16::Verify(f.pk.vk, e.public_inputs, e.proof));
+          groth16::Verify(f.pk.vk(), e.public_inputs, e.proof));
       Rng batch_rng(0x7d ^ static_cast<uint64_t>(iter));
       rec.batch_rejected.push_back(
-          groth16::BatchVerify(f.pvk, {e}, &batch_rng).rejected);
+          groth16::BatchVerify(f.pk.pvk, {e}, &batch_rng).rejected);
     }
     runs.push_back(std::move(rec));
   }
@@ -242,25 +240,28 @@ TEST(BatchVerifyHarness, PreparedVerdictsIdenticalAcrossThreadCounts) {
   }
 }
 
-TEST(BatchVerifyHarness, PreparedVkCacheServesHitsWithSameVerdicts) {
+TEST(BatchVerifyHarness, SetupCarriesThePreparedKey) {
   Fixture& f = fixture();
-  PreparedVkCache cache(/*byte_budget=*/64 << 20);
-  KeyCache::Handle first = cache.Checkout("nope-tools.org.", f.pk.vk);
-  ASSERT_TRUE(first.valid());
-  EXPECT_FALSE(first.was_hit());
-  KeyCache::Handle second = cache.Checkout("nope-tools.org.", f.pk.vk);
-  EXPECT_TRUE(second.was_hit());
-  EXPECT_EQ(cache.stats().hits, 1u);
-  EXPECT_EQ(cache.stats().misses, 1u);
-
-  const groth16::PreparedVerifyingKey& cached =
-      second.As<PreparedVkEntry>()->pvk();
+  // Setup's prepared key is exactly what PrepareVerifyingKey builds from the
+  // plain key, line for line.
+  groth16::PreparedVerifyingKey fresh = groth16::PrepareVerifyingKey(f.pk.vk());
+  EXPECT_TRUE(f.pk.pvk.alpha_beta == fresh.alpha_beta);
+  for (const auto& [a, b] : {std::pair{&f.pk.pvk.gamma_prep, &fresh.gamma_prep},
+                             std::pair{&f.pk.pvk.delta_prep, &fresh.delta_prep}}) {
+    EXPECT_FALSE(a->infinity);
+    ASSERT_EQ(a->lines.size(), b->lines.size());
+    for (size_t i = 0; i < a->lines.size(); ++i) {
+      EXPECT_TRUE(a->lines[i].c0 == b->lines[i].c0 && a->lines[i].c1 == b->lines[i].c1 &&
+                  a->lines[i].c2 == b->lines[i].c2)
+          << "line " << i;
+    }
+  }
   for (const groth16::BatchEntry& e : f.valid) {
-    EXPECT_TRUE(groth16::Verify(cached, e.public_inputs, e.proof));
+    EXPECT_TRUE(groth16::Verify(f.pk.pvk, e.public_inputs, e.proof));
   }
   groth16::Proof bad = f.valid[0].proof;
   bad.b = bad.b.Add(f.torsion);
-  EXPECT_FALSE(groth16::Verify(cached, f.valid[0].public_inputs, bad));
+  EXPECT_FALSE(groth16::Verify(f.pk.pvk, f.valid[0].public_inputs, bad));
 }
 
 }  // namespace

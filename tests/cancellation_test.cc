@@ -218,7 +218,7 @@ TEST(Prove, QuietTokenMatchesUncancellableOverload) {
   // Same Rng seed, same proof bytes: the cancellable overload consumes the
   // identical Rng stream when the token never fires.
   EXPECT_EQ(plain.ToBytes(), result.proof.ToBytes());
-  EXPECT_TRUE(groth16::Verify(pk.vk, {Fr::FromU64(35)}, result.proof));
+  EXPECT_TRUE(groth16::Verify(pk.vk(), {Fr::FromU64(35)}, result.proof));
 }
 
 TEST(Prove, ExpiredDeadlineReturnsCancelledPromptly) {
@@ -241,7 +241,7 @@ TEST(Prove, ExpiredDeadlineReturnsCancelledPromptly) {
   Rng prng2(701);
   groth16::ProveResult ok = groth16::Prove(pk, cs, &prng2, CancellationToken());
   ASSERT_TRUE(ok.ok());
-  EXPECT_TRUE(groth16::Verify(pk.vk, {Fr::FromU64(35)}, ok.proof));
+  EXPECT_TRUE(groth16::Verify(pk.vk(), {Fr::FromU64(35)}, ok.proof));
 }
 
 TEST(Prove, ExplicitCancelFromAnotherThread) {
@@ -259,7 +259,7 @@ TEST(Prove, ExplicitCancelFromAnotherThread) {
   groth16::ProveResult result = groth16::Prove(pk, cs, &prng, token);
   canceller.join();
   if (result.ok()) {
-    EXPECT_TRUE(groth16::Verify(pk.vk, {Fr::FromU64(15)}, result.proof));
+    EXPECT_TRUE(groth16::Verify(pk.vk(), {Fr::FromU64(15)}, result.proof));
   } else {
     EXPECT_EQ(result.status, groth16::ProveStatus::kCancelled);
   }

@@ -220,45 +220,40 @@ TEST(EndToEnd, InfinityAProofRejectedEndToEnd) {
   Certificate resigned = e->ca.IssueWithoutValidation(csr, kNow);
   CertificateChain chain{resigned, e->ca.intermediate()};
 
-  // ...but the verifier rejects it, on both the unprepared and the
-  // prepared-cache client paths.
+  // ...but the client, verifying against the deployment's prepared key,
+  // rejects it, and so does the unprepared Verify.
   NopeClientResult verdict =
       NopeClientVerify(e->deployment, chain, e->Trust(), e->domain, kNow + 10, nullptr);
   EXPECT_EQ(verdict.legacy, LegacyStatus::kOk);
   EXPECT_EQ(verdict.status, NopeVerifyStatus::kProofRejected);
   EXPECT_FALSE(verdict.accepted);
-
-  PreparedVkCache cache(64 << 20);
-  NopeClientResult cached_verdict = NopeClientVerify(
-      e->deployment, chain, e->Trust(), e->domain, kNow + 10, nullptr, &cache);
-  EXPECT_EQ(cached_verdict.status, NopeVerifyStatus::kProofRejected);
-  EXPECT_FALSE(cached_verdict.accepted);
+  std::vector<Fr> pub = NopePublicInputs(
+      e->deployment.params, e->domain, TlsKeyDigest(csr.public_key),
+      CaNameDigest(resigned.body.issuer_organization), TruncateTimestamp(kNow));
+  EXPECT_FALSE(groth16::Verify(e->deployment.vk(), pub, proof));
 }
 
-TEST(EndToEnd, PreparedVkCacheClientPathMatchesUnprepared) {
+TEST(EndToEnd, ClientVerdictMatchesUnpreparedVerify) {
+  // The client verifies against the prepared key Setup put in the
+  // deployment; the plain Verify on the same proof and inputs must agree.
   Environment* e = env();
   auto result = IssueCertificate(&e->deployment, &e->dns, &e->ca, e->domain,
                                  e->tls_key.pub.Encode(), kNow, &e->rng, true);
   ASSERT_TRUE(result.has_value());
+  NopeClientResult verdict = NopeClientVerify(e->deployment, result->chain, e->Trust(),
+                                              e->domain, kNow + 60, nullptr);
+  EXPECT_EQ(verdict.status, NopeVerifyStatus::kOk);
+  EXPECT_TRUE(verdict.nope_validated);
 
-  PreparedVkCache cache(64 << 20);
-  NopeClientResult first = NopeClientVerify(e->deployment, result->chain, e->Trust(),
-                                            e->domain, kNow + 60, nullptr, &cache);
-  EXPECT_EQ(first.status, NopeVerifyStatus::kOk);
-  EXPECT_TRUE(first.nope_validated);
-  EXPECT_EQ(cache.stats().misses, 1u);
-
-  // Second handshake with the same domain: served from the cache, same
-  // verdict.
-  NopeClientResult second = NopeClientVerify(e->deployment, result->chain, e->Trust(),
-                                             e->domain, kNow + 60, nullptr, &cache);
-  EXPECT_EQ(second.status, NopeVerifyStatus::kOk);
-  EXPECT_EQ(cache.stats().hits, 1u);
-
-  NopeClientResult plain = NopeClientVerify(e->deployment, result->chain, e->Trust(),
-                                            e->domain, kNow + 60, nullptr);
-  EXPECT_EQ(plain.status, second.status);
-  EXPECT_EQ(plain.accepted, second.accepted);
+  const CertificateBody& body = result->chain.leaf.body;
+  auto proof_bytes = DecodeProofSans(body.sans, e->domain);
+  ASSERT_TRUE(proof_bytes.has_value());
+  groth16::Proof proof = groth16::Proof::FromBytes(*proof_bytes);
+  std::vector<Fr> pub = NopePublicInputs(
+      e->deployment.params, e->domain, TlsKeyDigest(body.subject_public_key),
+      CaNameDigest(body.issuer_organization), TruncateTimestamp(body.not_before));
+  EXPECT_TRUE(groth16::Verify(e->deployment.vk(), pub, proof));
+  EXPECT_TRUE(groth16::Verify(e->deployment.pk.pvk, pub, proof));
 }
 
 TEST(EndToEndDeep, FourLabelDelegationProvesWithRealProof) {

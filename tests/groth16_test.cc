@@ -26,12 +26,12 @@ TEST(Groth16, ProveAndVerifyCubic) {
   Rng rng(601);
   auto pk = groth16::Setup(cs, &rng);
   auto proof = groth16::Prove(pk, cs, &rng);
-  EXPECT_TRUE(groth16::Verify(pk.vk, {Fr::FromU64(35)}, proof));
+  EXPECT_TRUE(groth16::Verify(pk.vk(), {Fr::FromU64(35)}, proof));
   // Wrong public input rejected.
-  EXPECT_FALSE(groth16::Verify(pk.vk, {Fr::FromU64(36)}, proof));
+  EXPECT_FALSE(groth16::Verify(pk.vk(), {Fr::FromU64(36)}, proof));
   // Wrong number of public inputs rejected.
-  EXPECT_FALSE(groth16::Verify(pk.vk, {}, proof));
-  EXPECT_FALSE(groth16::Verify(pk.vk, {Fr::FromU64(35), Fr::One()}, proof));
+  EXPECT_FALSE(groth16::Verify(pk.vk(), {}, proof));
+  EXPECT_FALSE(groth16::Verify(pk.vk(), {Fr::FromU64(35), Fr::One()}, proof));
 }
 
 TEST(Groth16, UnsatisfiedWitnessThrows) {
@@ -47,14 +47,14 @@ TEST(Groth16, TamperedProofRejected) {
   Rng rng(603);
   auto pk = groth16::Setup(cs, &rng);
   auto proof = groth16::Prove(pk, cs, &rng);
-  ASSERT_TRUE(groth16::Verify(pk.vk, {Fr::FromU64(15)}, proof));
+  ASSERT_TRUE(groth16::Verify(pk.vk(), {Fr::FromU64(15)}, proof));
 
   groth16::Proof bad = proof;
   bad.a = bad.a.Double();
-  EXPECT_FALSE(groth16::Verify(pk.vk, {Fr::FromU64(15)}, bad));
+  EXPECT_FALSE(groth16::Verify(pk.vk(), {Fr::FromU64(15)}, bad));
   bad = proof;
   bad.c = bad.c.Add(G1Generator());
-  EXPECT_FALSE(groth16::Verify(pk.vk, {Fr::FromU64(15)}, bad));
+  EXPECT_FALSE(groth16::Verify(pk.vk(), {Fr::FromU64(15)}, bad));
 }
 
 TEST(Groth16, ProofSerializationIs128Bytes) {
@@ -69,7 +69,7 @@ TEST(Groth16, ProofSerializationIs128Bytes) {
   EXPECT_TRUE(decoded.a.Equals(proof.a));
   EXPECT_TRUE(decoded.b.Equals(proof.b));
   EXPECT_TRUE(decoded.c.Equals(proof.c));
-  EXPECT_TRUE(groth16::Verify(pk.vk, {Fr::FromU64(35)}, decoded));
+  EXPECT_TRUE(groth16::Verify(pk.vk(), {Fr::FromU64(35)}, decoded));
 
   EXPECT_THROW(groth16::Proof::FromBytes(Bytes(127)), std::invalid_argument);
   Bytes corrupt = encoded;
@@ -77,7 +77,7 @@ TEST(Groth16, ProofSerializationIs128Bytes) {
   // Either decode fails (x not on curve) or the proof no longer verifies.
   try {
     auto p2 = groth16::Proof::FromBytes(corrupt);
-    EXPECT_FALSE(groth16::Verify(pk.vk, {Fr::FromU64(35)}, p2));
+    EXPECT_FALSE(groth16::Verify(pk.vk(), {Fr::FromU64(35)}, p2));
   } catch (const std::invalid_argument&) {
   }
 }
@@ -90,8 +90,8 @@ TEST(Groth16, ZeroKnowledgeRandomization) {
   auto p2 = groth16::Prove(pk, cs, &rng);
   // Distinct randomness yields distinct proofs for the same statement.
   EXPECT_FALSE(p1.a.Equals(p2.a));
-  EXPECT_TRUE(groth16::Verify(pk.vk, {Fr::FromU64(35)}, p1));
-  EXPECT_TRUE(groth16::Verify(pk.vk, {Fr::FromU64(35)}, p2));
+  EXPECT_TRUE(groth16::Verify(pk.vk(), {Fr::FromU64(35)}, p1));
+  EXPECT_TRUE(groth16::Verify(pk.vk(), {Fr::FromU64(35)}, p2));
 }
 
 TEST(Groth16, ProofMalleability) {
@@ -102,9 +102,9 @@ TEST(Groth16, ProofMalleability) {
   Rng rng(606);
   auto pk = groth16::Setup(cs, &rng);
   auto proof = groth16::Prove(pk, cs, &rng);
-  auto mauled = groth16::RandomizeProof(pk.vk, proof, &rng);
+  auto mauled = groth16::RandomizeProof(pk.vk(), proof, &rng);
   EXPECT_FALSE(mauled.a.Equals(proof.a));
-  EXPECT_TRUE(groth16::Verify(pk.vk, {Fr::FromU64(35)}, mauled));
+  EXPECT_TRUE(groth16::Verify(pk.vk(), {Fr::FromU64(35)}, mauled));
 }
 
 TEST(Groth16, MultiplePublicInputs) {
@@ -122,8 +122,8 @@ TEST(Groth16, MultiplePublicInputs) {
   Rng rng(607);
   auto pk = groth16::Setup(cs, &rng);
   auto proof = groth16::Prove(pk, cs, &rng);
-  EXPECT_TRUE(groth16::Verify(pk.vk, {Fr::FromU64(6), Fr::FromU64(7)}, proof));
-  EXPECT_FALSE(groth16::Verify(pk.vk, {Fr::FromU64(7), Fr::FromU64(6)}, proof));
+  EXPECT_TRUE(groth16::Verify(pk.vk(), {Fr::FromU64(6), Fr::FromU64(7)}, proof));
+  EXPECT_FALSE(groth16::Verify(pk.vk(), {Fr::FromU64(7), Fr::FromU64(6)}, proof));
 }
 
 TEST(Groth16, LargerRandomCircuit) {
@@ -147,8 +147,8 @@ TEST(Groth16, LargerRandomCircuit) {
 
   auto pk = groth16::Setup(cs, &rng);
   auto proof = groth16::Prove(pk, cs, &rng);
-  EXPECT_TRUE(groth16::Verify(pk.vk, {acc_val}, proof));
-  EXPECT_FALSE(groth16::Verify(pk.vk, {acc_val + Fr::One()}, proof));
+  EXPECT_TRUE(groth16::Verify(pk.vk(), {acc_val}, proof));
+  EXPECT_FALSE(groth16::Verify(pk.vk(), {acc_val + Fr::One()}, proof));
 }
 
 TEST(Domain, FftRoundTrip) {

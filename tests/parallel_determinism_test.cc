@@ -279,7 +279,7 @@ TEST_F(ParallelDeterminism, ProveBytesIdenticalAcrossThreadCounts) {
     Rng rng(7);
     groth16::Proof proof = groth16::Prove(pk, cs, &rng);
     EXPECT_EQ(reference, proof.ToBytes()) << "threads=" << t;
-    EXPECT_TRUE(groth16::Verify(pk.vk, {cs.ValueOf(1)}, proof));
+    EXPECT_TRUE(groth16::Verify(pk.vk(), {cs.ValueOf(1)}, proof));
   }
 }
 

@@ -374,10 +374,10 @@ TEST(OptimizerStatement, OptimizedProofsVerify) {
 
   std::vector<Fr> pub = NopePublicInputs(f.Params(), f.domain, w.tls_key_digest,
                                          w.ca_name_digest, w.truncated_ts);
-  EXPECT_TRUE(groth16::Verify(pk.vk, pub, proof));
+  EXPECT_TRUE(groth16::Verify(pk.vk(), pub, proof));
   // Tampered public input still rejects.
   pub[0] = pub[0] + Fr::One();
-  EXPECT_FALSE(groth16::Verify(pk.vk, pub, proof));
+  EXPECT_FALSE(groth16::Verify(pk.vk(), pub, proof));
 }
 
 TEST(OptimizerStatement, EndToEndDeploymentUsesOptimizedCircuit) {

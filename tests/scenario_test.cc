@@ -132,19 +132,16 @@ TEST(ScenarioRunner, HealthyClassesProve) {
 
 TEST(ScenarioRunner, RealProofSpotCheckBacksPlaceholderOutcome) {
   // ISSUE 7: the runner's placeholder "proved" classification, spot-checked
-  // with a REAL Groth16 deployment through the prepared-VK cache. The spec's
+  // with a REAL Groth16 deployment (trusted setup per scenario, so the
+  // client verifies against that deployment's own prepared key). The spec's
   // class invariant (healthy must prove) still holds under the spot-check,
   // so a real-circuit divergence from the placeholder outcome would abort.
   ScenarioSpec spec = FirstOfClass(ScenarioClass::kHealthyEcdsa);
   SCOPED_TRACE(spec.Describe());
-  PreparedVkCache cache(64 << 20);
   RunnerOptions options;
-  options.pvk_cache = &cache;
   options.real_proof_check = true;
   ScenarioResult result = RunScenario(spec, options);
   EXPECT_EQ(result.outcome, ScenarioOutcome::kProved);
-  // The spot-check verified through the cache: exactly one prepared key.
-  EXPECT_EQ(cache.stats().misses, 1u);
 
   // Default options reproduce the historical classification for the same
   // spec (the sweep digest contract).

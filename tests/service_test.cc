@@ -454,7 +454,7 @@ ScenarioArtifacts RunMixedScenario() {
   // be vacuous.
   auto key = cache.Checkout("cubic", loader);
   EXPECT_TRUE(key.was_hit());
-  const auto& vk = key.As<ProvingKeyEntry>()->pk.vk;
+  const auto& vk = key.As<ProvingKeyEntry>()->pk.vk();
   EXPECT_TRUE(groth16::Verify(vk, {Fr::FromU64(35)}, proof1));
   EXPECT_TRUE(groth16::Verify(vk, {Fr::FromU64(35)}, proof2));
   key.Release();

@@ -53,7 +53,7 @@ uint64_t ProofDigest() {
   Rng rng(98765);
   auto pk = groth16::Setup(cs, &rng);
   auto proof = groth16::Prove(pk, cs, &rng);
-  if (!groth16::Verify(pk.vk, {Fr::FromU64(35)}, proof)) {
+  if (!groth16::Verify(pk.vk(), {Fr::FromU64(35)}, proof)) {
     std::fprintf(stderr, "proof failed to verify\n");
     std::exit(2);
   }
