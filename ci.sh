@@ -68,8 +68,8 @@ echo "=== stage 4c: SIMD off/on digest identity ==="
 # The determinism contract across SIMD backends is cross-PROCESS (the
 # NOPE_SIMD env is read once per process), so it cannot live in a gtest:
 # run the digest binary under every backend x thread-count combination and
-# require bit-identical stdout. Covers MSM result bytes and full Groth16
-# proof bytes.
+# require bit-identical stdout. Covers MSM result bytes, full Groth16
+# proof bytes and the outputs of a 2^12 FFT chain.
 cmake --build build -j "$(nproc)" --target simd_determinism_main >/dev/null
 ref="$(NOPE_SIMD=off NOPE_THREADS=1 ./build/tests/simd_determinism_main 2>/dev/null)"
 for simd in off on; do

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <chrono>
+#include <numeric>
 #include <stdexcept>
+#include <utility>
 
 #include "src/r1cs/opt/optimizer.h"
 
@@ -76,17 +78,48 @@ NopeDeployment NopeTrustedSetup(DnssecHierarchy* dns, const DnsName& domain,
   if (options.managed_mode) {
     PopulateManagedWitness(dns, domain, &sample);
   }
-  ConstraintSystem cs;
-  BuildNopeStatement(&cs, deployment.params, sample);
-  if (options.optimize_circuit) {
-    // The optimizer is a pure function of the matrices, so the system built
-    // here from the sample witness and the one built at proving time from
-    // the real witness reduce to identical matrices (see src/r1cs/opt).
-    deployment.pk = groth16::Setup(Optimize(cs).cs, rng);
-  } else {
-    deployment.pk = groth16::Setup(cs, rng);
+  {  // the statement and the optimizer's state are freed before Setup runs
+    ConstraintSystem cs;
+    BuildNopeStatement(&cs, deployment.params, sample);
+    deployment.statement_wires = cs.NumVariables();
+    if (options.optimize_circuit) {
+      OptimizeResult opt = Optimize(cs);
+      deployment.circuit = std::move(opt.cs);
+      deployment.circuit_wires = std::move(opt.inverse_map);
+    } else {
+      deployment.circuit_wires.resize(cs.NumVariables());
+      std::iota(deployment.circuit_wires.begin(), deployment.circuit_wires.end(), kOneVar);
+      deployment.circuit = std::move(cs);
+    }
   }
+  deployment.pk = groth16::Setup(deployment.circuit, rng);
   return deployment;
+}
+
+// Synthesizes the statement for `witness` and returns its assignment in the
+// indexing of deployment.circuit. Statement matrices depend on the shape
+// only, never on witness values, so every witness of the setup shape has
+// setup's wire count and lines up with the stored map; the statement system
+// is freed on return, before Prove allocates.
+static std::vector<Fr> CircuitAssignment(const NopeDeployment& deployment,
+                                         const StatementWitness& witness) {
+  ConstraintSystem statement;
+  BuildNopeStatement(&statement, deployment.params, witness);
+  const size_t wires = statement.NumVariables();
+  if (wires != deployment.statement_wires) {
+    throw std::invalid_argument("GenerateNopeProof: the statement has " + std::to_string(wires) +
+                                " wires but the deployment's circuit was set up for " +
+                                std::to_string(deployment.statement_wires));
+  }
+  std::vector<Fr> assignment;
+  assignment.reserve(deployment.circuit_wires.size());
+  for (Var v : deployment.circuit_wires) {
+    if (v >= wires) {
+      throw std::invalid_argument("GenerateNopeProof: circuit wire map points past the statement");
+    }
+    assignment.push_back(statement.ValueOf(v));
+  }
+  return assignment;
 }
 
 NopeProofBundle GenerateNopeProof(const NopeDeployment& deployment, DnssecHierarchy* dns,
@@ -99,14 +132,11 @@ NopeProofBundle GenerateNopeProof(const NopeDeployment& deployment, DnssecHierar
   if (deployment.params.options.managed_mode) {
     PopulateManagedWitness(dns, domain, &witness);
   }
-  ConstraintSystem cs;
-  BuildNopeStatement(&cs, deployment.params, witness);
+  std::vector<Fr> assignment = CircuitAssignment(deployment, witness);
+  ConstraintSystem cs = deployment.circuit;
+  cs.SetAssignment(std::move(assignment));
   NopeProofBundle bundle;
-  if (deployment.params.options.optimize_circuit) {
-    bundle.proof = groth16::Prove(deployment.pk, Optimize(cs).cs, rng);
-  } else {
-    bundle.proof = groth16::Prove(deployment.pk, cs, rng);
-  }
+  bundle.proof = groth16::Prove(deployment.pk, cs, rng);
   bundle.sans = EncodeProofSans(bundle.proof.ToBytes(), domain);
   bundle.proof_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();

@@ -5,6 +5,7 @@
 
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "src/core/downgrade.h"
 #include "src/core/statement.h"
@@ -14,19 +15,34 @@
 
 namespace nope {
 
-// One proof-system deployment: a statement shape plus its Groth16 keys. The
-// root ZSK (trust anchor) is baked into the circuit at setup, mirroring the
-// hard-coded DNSSEC root key.
+// One proof-system deployment: a statement shape, the circuit its Groth16
+// keys were set up for, and the keys. The root ZSK (trust anchor) is baked
+// into the circuit at setup, mirroring the hard-coded DNSSEC root key.
+//
+// `circuit` holds the constraint matrices pk was set up for: the output of
+// the R1CS optimizer when params.options.optimize_circuit is set, the
+// statement's own matrices otherwise. Its wire i takes the value of statement
+// wire circuit_wires[i] (the identity map for an unoptimized circuit), and
+// the statement BuildNopeStatement synthesizes for params has
+// statement_wires wires. Setup fills all three, so a key rotation maps its
+// statement's assignment onto the circuit and proves without re-running the
+// optimizer. A deployment assembled by hand, without NopeTrustedSetup,
+// leaves them empty and cannot prove.
 struct NopeDeployment {
   StatementParams params;
   DnskeyRdata root_zsk;
   groth16::ProvingKey pk;
+  ConstraintSystem circuit;
+  std::vector<Var> circuit_wires;
+  size_t statement_wires = 0;
 
   const groth16::VerifyingKey& vk() const { return pk.vk(); }
 };
 
 // Runs the one-time trusted setup for the statement shape that fits
-// `domain` inside `dns`. The sample witness only shapes the matrices; the
+// `domain` inside `dns`: synthesizes the statement for a sample witness,
+// optimizes it when options.optimize_circuit is set, and keeps the circuit
+// in the deployment. The sample witness only shapes the matrices; the
 // resulting keys verify proofs for any witness of the same shape.
 NopeDeployment NopeTrustedSetup(DnssecHierarchy* dns, const DnsName& domain,
                                 StatementOptions options, Rng* rng);
@@ -36,7 +52,13 @@ StatementWitness BuildWitness(DnssecHierarchy* dns, const DnsName& domain,
                               const Bytes& tls_public_key, const std::string& ca_name,
                               uint64_t expected_issuance_time);
 
-// Fig. 2 steps 1-2: produce the proof and its SAN encoding.
+// Fig. 2 steps 1-2: produce the proof and its SAN encoding. Builds the
+// statement for the current chain, maps its assignment onto
+// deployment.circuit and proves against it; groth16::Prove rejects an
+// assignment the circuit's matrices do not accept. Throws
+// std::invalid_argument when the statement does not fit the deployment's
+// circuit (a different wire count, or a deployment not made by
+// NopeTrustedSetup).
 struct NopeProofBundle {
   groth16::Proof proof;
   std::vector<std::string> sans;

@@ -45,9 +45,9 @@ struct StatementOptions {
   // DNSKEY parse + TXT search + signature) and needs no zero-knowledge.
   bool managed_mode = false;
   // Run the R1CS optimizer pipeline (src/r1cs/opt) on the synthesized system
-  // before Groth16 Setup/Prove. Deterministic: Setup (sample witness) and
-  // Prove (real witness) produce identical optimized matrices, so keys and
-  // proofs stay compatible. Off reproduces the unoptimized circuit sizes.
+  // once, at trusted setup; the deployment keeps the optimized matrices and
+  // every proof maps its statement's assignment onto them. Off reproduces
+  // the unoptimized circuit sizes.
   bool optimize_circuit = true;
 
   static StatementOptions Baseline() {

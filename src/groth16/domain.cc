@@ -1,6 +1,7 @@
 #include "src/groth16/domain.h"
 
 #include <algorithm>
+#include <cstdint>
 
 #include "src/base/check.h"
 #include "src/base/threadpool.h"
@@ -19,6 +20,7 @@ constexpr size_t kTwoAdicity = 28;
 // Values are order-independent either way (canonical Montgomery form), so
 // the cutoffs affect scheduling only, never output bytes.
 constexpr size_t kButterflyMinChunk = 256;   // butterflies per FFT share
+constexpr size_t kMulBatch = 64;             // elements per Fr::MulBatch call
 constexpr size_t kScaleMinChunk = 1024;      // elements per scaling share
 constexpr size_t kBatchInvertBlock = 1024;   // fixed block grid for inversion
 
@@ -55,12 +57,13 @@ void BitReverse(std::vector<Fr>* a, size_t log_n) {
       0, n, ThreadPool::ComputeMinChunk(n, kScaleMinChunk),
       [&](size_t lo, size_t hi) {
     for (size_t i = lo; i < hi; ++i) {
-      size_t j = 0;
-      for (size_t b = 0; b < log_n; ++b) {
-        if (i & (size_t{1} << b)) {
-          j |= size_t{1} << (log_n - 1 - b);
-        }
-      }
+      // Reverse all 64 bits (swap adjacent bits, pairs, nibbles, then
+      // bytes), then drop the 64 - log_n low zeros.
+      uint64_t x = i;
+      x = ((x >> 1) & 0x5555555555555555ull) | ((x & 0x5555555555555555ull) << 1);
+      x = ((x >> 2) & 0x3333333333333333ull) | ((x & 0x3333333333333333ull) << 2);
+      x = ((x >> 4) & 0x0f0f0f0f0f0f0f0full) | ((x & 0x0f0f0f0f0f0f0f0full) << 4);
+      const size_t j = __builtin_bswap64(x) >> (64 - log_n);
       if (i < j) {
         std::swap((*a)[i], (*a)[j]);
       }
@@ -68,41 +71,48 @@ void BitReverse(std::vector<Fr>* a, size_t log_n) {
   });
 }
 
-void FftInternal(std::vector<Fr>* a, size_t log_n, const Fr& omega,
+// In-place radix-2 transform: evaluates the coefficients in *a at
+// omega^0 .. omega^(n-1), reading twiddles[j] = omega^j (j < n/2).
+void FftInternal(std::vector<Fr>* a, size_t log_n, const std::vector<Fr>& twiddles,
                  const CancellationToken* cancel) {
   BitReverse(a, log_n);
-  size_t n = a->size();
+  const size_t n = a->size();
+  Fr* data = a->data();
   ThreadPool& pool = ThreadPool::Global();
   for (size_t s = 1; s <= log_n; ++s) {
     if (cancel != nullptr && cancel->cancelled()) {
       return;  // *a is garbage; the caller checks the token
     }
-    size_t m = size_t{1} << s;
-    size_t half = m / 2;
-    Fr wm = omega;
-    for (size_t i = 0; i < log_n - s; ++i) {
-      wm = wm.Square();
-    }
-    // Flatten the stage into n/2 independent butterflies: butterfly t lives
-    // in block t/half at offset j = t%half and touches exactly a[k+j] and
-    // a[k+j+half], so any partition of [0, n/2) computes identical bytes.
+    // Stage s combines blocks of 2*half elements; butterfly j of a block
+    // multiplies by omega^(j * n / 2^s), table entry j * stride.
+    const size_t half = size_t{1} << (s - 1);
+    const size_t stride = n >> s;
+    // Flatten the stage into n/2 independent butterflies: butterfly t sits at
+    // offset j = t % half of its block and touches exactly a[2t - j] and
+    // a[2t - j + half], so any partition of [0, n/2) computes identical bytes.
     pool.ParallelFor(0, n / 2,
                      ThreadPool::ComputeMinChunk(n / 2, kButterflyMinChunk),
                      [&](size_t lo, size_t hi) {
-      size_t j = lo % half;
-      Fr w = (j == 0) ? Fr::One() : wm.Pow(BigUInt(static_cast<uint64_t>(j)));
-      for (size_t t = lo; t < hi; ++t) {
-        if (j == half) {
-          j = 0;
-          w = Fr::One();
+      Fr w[kMulBatch];
+      Fr odd[kMulBatch];
+      size_t even[kMulBatch];
+      for (size_t t0 = lo; t0 < hi; t0 += kMulBatch) {
+        const size_t cnt = std::min(kMulBatch, hi - t0);
+        for (size_t i = 0; i < cnt; ++i) {
+          const size_t t = t0 + i;
+          const size_t j = t & (half - 1);
+          even[i] = 2 * t - j;
+          w[i] = twiddles[j * stride];
+          odd[i] = data[even[i] + half];
         }
-        size_t k = (t / half) * m;
-        Fr tv = w * (*a)[k + j + half];
-        Fr u = (*a)[k + j];
-        (*a)[k + j] = u + tv;
-        (*a)[k + j + half] = u - tv;
-        w = w * wm;
-        ++j;
+        if (s > 1) {  // stage 1's twiddles are all omega^0 = 1
+          Fr::MulBatch(w, odd, odd, cnt);
+        }
+        for (size_t i = 0; i < cnt; ++i) {
+          const Fr u = data[even[i]];
+          data[even[i]] = u + odd[i];
+          data[even[i] + half] = u - odd[i];
+        }
       }
     }, cancel);
   }
@@ -187,7 +197,17 @@ EvaluationDomain::EvaluationDomain(size_t min_size) {
   for (size_t i = log_size_; i < kTwoAdicity; ++i) {
     omega_ = omega_.Square();
   }
-  omega_inv_ = omega_.Inverse();
+  // omega^(k + j) = omega^j * omega^k: each doubling of the table is a run
+  // of independent multiplies rather than one dependent chain.
+  twiddles_.resize(size_ / 2);
+  twiddles_[0] = Fr::One();
+  Fr omega_k = omega_;
+  for (size_t k = 1; k < twiddles_.size(); k *= 2) {
+    for (size_t j = 0; j < k; ++j) {
+      twiddles_[k + j] = twiddles_[j] * omega_k;
+    }
+    omega_k = omega_k.Square();
+  }
   size_inv_ = Fr::FromU64(size_).Inverse();
   // Coset shift: any element outside the subgroup of order size_.
   for (uint64_t candidate = 5;; ++candidate) {
@@ -202,34 +222,53 @@ EvaluationDomain::EvaluationDomain(size_t min_size) {
 
 void EvaluationDomain::Fft(std::vector<Fr>* a, const CancellationToken* cancel) const {
   NOPE_INVARIANT(a->size() == size_, "FFT input size mismatch");
-  FftInternal(a, log_size_, omega_, cancel);
+  FftInternal(a, log_size_, twiddles_, cancel);
 }
 
 void EvaluationDomain::Ifft(std::vector<Fr>* a, const CancellationToken* cancel) const {
   NOPE_INVARIANT(a->size() == size_, "IFFT input size mismatch");
-  FftInternal(a, log_size_, omega_inv_, cancel);
-  ThreadPool::Global().ParallelFor(0, a->size(),
+  // omega^-1 = omega^(n-1), so the inverse transform is the forward one with
+  // outputs 1..n-1 read in reverse, scaled by 1/n. Each index i <= n/2 owns
+  // the pair (i, n - i), so any partition writes identical bytes.
+  FftInternal(a, log_size_, twiddles_, cancel);
+  const size_t n = size_;
+  ThreadPool::Global().ParallelFor(0, n / 2 + 1,
                                    ThreadPool::ComputeMinChunk(
-                                       a->size(), kScaleMinChunk),
+                                       n / 2 + 1, kScaleMinChunk),
                                    [&](size_t lo, size_t hi) {
                                      for (size_t i = lo; i < hi; ++i) {
-                                       (*a)[i] = (*a)[i] * size_inv_;
+                                       const size_t r = (n - i) & (n - 1);
+                                       const Fr x = (*a)[i];
+                                       (*a)[i] = (*a)[r] * size_inv_;
+                                       (*a)[r] = x * size_inv_;
                                      }
                                    },
                                    cancel);
 }
 
 // Multiplies a[i] by factor^i for i in [0, a->size()). Shares re-derive
-// their starting power with one Pow, then walk multiplicatively.
+// their starting power with one Pow, then step kMulBatch elements at a time:
+// a block's powers are its first power times factor^j (j < kMulBatch), so
+// both products per block are batched and none waits on the previous one.
 void EvaluationDomain::ScaleByPowers(std::vector<Fr>* a, const Fr& factor) {
+  Fr steps[kMulBatch];
+  steps[0] = Fr::One();
+  for (size_t j = 1; j < kMulBatch; ++j) {
+    steps[j] = steps[j - 1] * factor;
+  }
+  const Fr block_step = steps[kMulBatch - 1] * factor;
   ThreadPool::Global().ParallelFor(
       0, a->size(), ThreadPool::ComputeMinChunk(a->size(), kScaleMinChunk),
       [&](size_t lo, size_t hi) {
-        Fr power = (lo == 0) ? Fr::One()
+        Fr first = (lo == 0) ? Fr::One()
                              : factor.Pow(BigUInt(static_cast<uint64_t>(lo)));
-        for (size_t i = lo; i < hi; ++i) {
-          (*a)[i] = (*a)[i] * power;
-          power = power * factor;
+        Fr powers[kMulBatch];
+        for (size_t i = lo; i < hi; i += kMulBatch) {
+          const size_t cnt = std::min(kMulBatch, hi - i);
+          std::fill(powers, powers + cnt, first);
+          Fr::MulBatch(powers, steps, powers, cnt);
+          Fr::MulBatch(a->data() + i, powers, a->data() + i, cnt);
+          first = first * block_step;
         }
       });
 }

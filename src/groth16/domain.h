@@ -17,6 +17,8 @@ class EvaluationDomain {
  public:
   // Rounds min_size up to the next power of two (aborts past 2^28 -- a
   // statement-builder defect, see NOPE_INVARIANT in src/base/check.h).
+  // Also builds the twiddle table omega^j, j < size()/2, that every
+  // transform reads.
   explicit EvaluationDomain(size_t min_size);
 
   size_t size() const { return size_; }
@@ -47,7 +49,7 @@ class EvaluationDomain {
   size_t size_;
   size_t log_size_;
   Fr omega_;
-  Fr omega_inv_;
+  std::vector<Fr> twiddles_;  // omega^j for j < size_ / 2
   Fr size_inv_;
   Fr shift_;
   Fr shift_inv_;

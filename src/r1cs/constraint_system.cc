@@ -165,6 +165,16 @@ bool ConstraintSystem::SatisfiedBy(const std::vector<Fr>& values, size_t* bad) c
   return true;
 }
 
+void ConstraintSystem::SetAssignment(std::vector<Fr> values) {
+  if (values.size() != values_.size()) {
+    throw std::invalid_argument("SetAssignment: assignment has the wrong arity");
+  }
+  if (values[kOneVar] != Fr::One()) {
+    throw std::invalid_argument("SetAssignment: the constant-one variable is not 1");
+  }
+  values_ = std::move(values);
+}
+
 void ConstraintSystem::BeginScope(std::string name) {
   ScopeSpan span;
   span.name = std::move(name);

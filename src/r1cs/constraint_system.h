@@ -129,6 +129,11 @@ class ConstraintSystem {
   void EndScope();
   const std::vector<ScopeSpan>& scopes() const { return scopes_; }
 
+  // Replaces the whole assignment, keeping the constraints: proving a fixed
+  // circuit for a new witness. Throws std::invalid_argument unless
+  // values.size() == NumVariables() and values[0] is 1.
+  void SetAssignment(std::vector<Fr> values);
+
   // Overwrites the value of a variable. Used by negative tests to corrupt a
   // witness and check that proofs over it are rejected.
   void SetValueForTest(Var v, const Fr& value) { values_[v] = value; }

@@ -11,7 +11,9 @@ namespace {
 constexpr Var kGone = OptimizeResult::kEliminatedVar;
 
 // Deterministic total order on canonical LCs: term count, then variable ids,
-// then coefficient values. Only used for map keys, never exposed.
+// then coefficients by their Montgomery limbs (canonical, so equal limbs mean
+// equal values). Only used for map lookups, never iterated, so the order
+// itself never reaches the output.
 int CompareLc(const LC& x, const LC& y) {
   const auto& xt = x.terms();
   const auto& yt = y.terms();
@@ -24,9 +26,10 @@ int CompareLc(const LC& x, const LC& y) {
     }
   }
   for (size_t i = 0; i < xt.size(); ++i) {
-    int c = xt[i].second.ToBigUInt().Compare(yt[i].second.ToBigUInt());
-    if (c != 0) {
-      return c;
+    const auto& xl = xt[i].second.limbs();
+    const auto& yl = yt[i].second.limbs();
+    if (xl != yl) {
+      return xl < yl ? -1 : 1;
     }
   }
   return 0;
@@ -570,9 +573,7 @@ bool AffineSharePass(Work* w, OptStats* st) {
 uint64_t HashWord(uint64_t h, uint64_t v) { return (h ^ v) * 0x100000001b3ull; }
 
 uint64_t HashFr(uint64_t h, const Fr& k) {
-  BigUInt b = k.ToBigUInt();
-  h = HashWord(h, b.limbs().size());
-  for (uint64_t limb : b.limbs()) {
+  for (uint64_t limb : k.limbs()) {
     h = HashWord(h, limb);
   }
   return h;

@@ -1,6 +1,7 @@
 // R1CS optimization pipeline (ROADMAP item 3).
 //
-// Runs between gadget synthesis and Groth16 Setup/Prove. Passes:
+// Runs once per deployment, in NopeTrustedSetup, between gadget synthesis and
+// Groth16 Setup. Passes:
 //   (a) linear-combination canonicalization + constant folding: every LC is
 //       sorted/merged/zero-free, and a*b = c with a constant side is folded
 //       to the linear form L * 1 = 0;
@@ -31,10 +32,15 @@
 //
 // Determinism contract: the optimized matrices are a pure function of the
 // input matrices (never of the witness values), all passes run serially in
-// constraint order, and the result is identical across NOPE_THREADS. Setup
-// (sample witness) and Prove (real witness) therefore agree on the optimized
-// system as long as they agree on the input system, which the repo already
-// guarantees.
+// constraint order, and the result is identical across NOPE_THREADS.
+//
+// Deployment contract: NopeTrustedSetup optimizes the statement built from a
+// sample witness and keeps only the optimized matrices and inverse_map in the
+// NopeDeployment (not the eliminations journal or the scope attribution).
+// Each key rotation maps its own statement's assignment through that map
+// (MapAssignment's job) and proves against the stored matrices; it never
+// calls into this directory. That is sound because groth16::Prove still
+// checks the mapped assignment against the deployed matrices.
 //
 // Assignment mapping: because variables are eliminated, the optimized and
 // original systems index different witness vectors. MapAssignment compresses

@@ -180,6 +180,73 @@ TEST(Domain, FftRoundTrip) {
   EXPECT_EQ(coset, coeffs);
 }
 
+// out[k] = sum_i coeffs[i] * x_k^i at x_k = base * step^k, by Horner's rule:
+// the O(n^2) reference for every transform.
+std::vector<Fr> NaiveEvaluate(const std::vector<Fr>& coeffs, const Fr& base, const Fr& step) {
+  std::vector<Fr> out(coeffs.size());
+  Fr x = base;
+  for (Fr& value : out) {
+    Fr acc = Fr::Zero();
+    for (size_t i = coeffs.size(); i-- > 0;) {
+      acc = acc * x + coeffs[i];
+    }
+    value = acc;
+    x = x * step;
+  }
+  return out;
+}
+
+TEST(Domain, TransformsMatchNaiveEvaluation) {
+  Rng rng(612);
+  for (size_t log_n = 1; log_n <= 10; ++log_n) {
+    const size_t n = size_t{1} << log_n;
+    EvaluationDomain d(n);
+    ASSERT_EQ(d.size(), n);
+    const Fr omega = d.omega();
+    ASSERT_EQ(omega.Pow(BigUInt(n)), Fr::One());
+    ASSERT_NE(omega.Pow(BigUInt(n / 2)), Fr::One());
+    const Fr omega_inv = omega.Inverse();
+    const Fr n_inv = Fr::FromU64(n).Inverse();
+    // The coset g*H, read off the transform of the polynomial x; g^n != 1
+    // keeps it disjoint from H.
+    std::vector<Fr> x_poly(n, Fr::Zero());
+    x_poly[1] = Fr::One();
+    d.CosetFft(&x_poly);
+    const Fr g = x_poly[0];
+    ASSERT_NE(g.Pow(BigUInt(n)), Fr::One());
+    EXPECT_EQ(d.VanishingOnCoset(), g.Pow(BigUInt(n)) - Fr::One());
+    const Fr g_inv = g.Inverse();
+
+    std::vector<Fr> input(n);
+    for (Fr& c : input) {
+      c = Fr::Random(&rng);
+    }
+    std::vector<Fr> v = input;
+    d.Fft(&v);
+    EXPECT_EQ(v, NaiveEvaluate(input, Fr::One(), omega)) << "Fft, n = " << n;
+
+    v = input;
+    d.CosetFft(&v);
+    EXPECT_EQ(v, NaiveEvaluate(input, g, omega)) << "CosetFft, n = " << n;
+
+    // Ifft: c_i = (1/n) sum_k v_k omega^-ik; CosetIfft also scales c_i by g^-i.
+    std::vector<Fr> inverse = NaiveEvaluate(input, Fr::One(), omega_inv);
+    std::vector<Fr> coset_inverse(n);
+    Fr scale = n_inv;
+    for (size_t i = 0; i < n; ++i) {
+      coset_inverse[i] = inverse[i] * scale;
+      inverse[i] = inverse[i] * n_inv;
+      scale = scale * g_inv;
+    }
+    v = input;
+    d.Ifft(&v);
+    EXPECT_EQ(v, inverse) << "Ifft, n = " << n;
+    v = input;
+    d.CosetIfft(&v);
+    EXPECT_EQ(v, coset_inverse) << "CosetIfft, n = " << n;
+  }
+}
+
 TEST(Domain, VanishingPolynomial) {
   EvaluationDomain d(8);
   // Z vanishes on the domain and not on the coset.

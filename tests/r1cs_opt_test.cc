@@ -1,7 +1,9 @@
 // Optimizer pipeline tests: per-pass unit tests on hand-built systems, the
-// assignment map/lift round trip, the determinism contract (Setup's
-// sample-witness build and Prove's real-witness build reduce to identical
-// matrices), and the acceptance bar — >= 10% constraint reduction on the
+// assignment map/lift round trip, the determinism contract (builds of one
+// statement shape from different witnesses reduce to identical matrices),
+// the pinned optimized Full() matrices, the rotation path that proves
+// against the circuit stored at setup (with the per-rotation optimize as its
+// oracle), and the acceptance bar — >= 10% constraint reduction on the
 // full statement circuit (baseline gadget design) with proofs still
 // verifying. The Full() design already bakes the NOPE paper's hand
 // optimizations into the gadgets themselves, which leaves the optimizer
@@ -290,9 +292,8 @@ struct OptStatementFixture {
 };
 
 TEST(OptimizerStatement, DeterministicAcrossWitnesses) {
-  // The determinism contract that makes Setup/Prove agree: two builds of the
-  // same statement shape with different witness values reduce to identical
-  // matrices.
+  // The determinism contract: two builds of the same statement shape with
+  // different witness values reduce to identical matrices and wire maps.
   OptStatementFixture f;
   ConstraintSystem cs1;
   BuildNopeStatement(&cs1, f.Params(), f.Witness(0xaa));
@@ -380,31 +381,125 @@ TEST(OptimizerStatement, OptimizedProofsVerify) {
   EXPECT_FALSE(groth16::Verify(pk.vk(), pub, proof));
 }
 
-TEST(OptimizerStatement, EndToEndDeploymentUsesOptimizedCircuit) {
-  // NopeTrustedSetup/GenerateNopeProof honor StatementOptions::optimize_circuit
-  // and the resulting bundle verifies through the client path.
-  OptStatementFixture f;
-  Rng rng(99);
-  StatementOptions options = StatementOptions::Full();
-  ASSERT_TRUE(options.optimize_circuit);
-  NopeDeployment dep = NopeTrustedSetup(&f.dns, f.domain, options, &rng);
-  NopeProofBundle bundle =
-      GenerateNopeProof(dep, &f.dns, f.domain, Bytes(65, 0x04), "Example CA", 1750000000, &rng);
-  groth16::Proof proof = groth16::Proof::FromBytes(
-      DecodeProofFromSans(bundle.sans, f.domain).value());
-  uint64_t ts = TruncateTimestamp(1750000000);
-  std::vector<Fr> pub =
-      NopePublicInputs(dep.params, f.domain, TlsKeyDigest(Bytes(65, 0x04)),
-                       CaNameDigest("Example CA"), ts);
-  EXPECT_TRUE(groth16::Verify(dep.vk(), pub, proof));
+// FNV-1a over the matrices: shape, then every constraint side's terms.
+uint64_t MatrixDigest(const ConstraintSystem& cs) {
+  uint64_t h = 0xcbf29ce484222325ull;
+  auto mix = [&h](uint64_t v) { h = (h ^ v) * 0x100000001b3ull; };
+  mix(cs.NumPublic());
+  mix(cs.NumVariables());
+  mix(cs.NumConstraints());
+  for (const Constraint& con : cs.constraints()) {
+    for (const LC* side : {&con.a, &con.b, &con.c}) {
+      mix(side->terms().size());
+      for (const auto& [v, k] : side->terms()) {
+        mix(v);
+        for (uint64_t limb : k.limbs()) {
+          mix(limb);
+        }
+      }
+    }
+  }
+  return h;
+}
 
-  // The unoptimized deployment keys have a different shape (more witness
-  // variables), so the optimizer is demonstrably in the proving path.
-  StatementOptions raw = options;
+TEST(OptimizerStatement, OptimizedFullStatementIsPinned) {
+  // Deployed keys are set up for these exact matrices, so a change inside
+  // the optimizer (its comparators, its hashing, its pass order) must not
+  // move them.
+  OptStatementFixture f;
+  ConstraintSystem cs;
+  BuildNopeStatement(&cs, f.Params(), f.Witness(0xaa));
+  OptimizeResult res = Optimize(cs);
+  EXPECT_EQ(res.cs.NumConstraints(), 149300u);
+  EXPECT_EQ(res.cs.NumVariables(), 147363u);
+  EXPECT_EQ(MatrixDigest(res.cs), 0xd8cf20e031d3e3cbull);
+}
+
+TEST(OptimizerStatement, RotationMatchesPerRotationOptimize) {
+  // A key rotation proves against the circuit NopeTrustedSetup stored. The
+  // oracle is the per-rotation path: synthesize the statement, optimize it,
+  // prove. From the same Rng state both give the same proof bytes, with the
+  // optimizer on and off.
+  const Bytes tls_key(65, 0x04);
+  const uint64_t now = 1750000000;
+  StatementOptions raw = StatementOptions::Full();
   raw.optimize_circuit = false;
-  Rng rng2(99);
-  NopeDeployment dep_raw = NopeTrustedSetup(&f.dns, f.domain, raw, &rng2);
-  EXPECT_LT(dep.pk.a_query.size(), dep_raw.pk.a_query.size());
+  size_t optimized_wires = 0;
+  for (const StatementOptions& options : {StatementOptions::Full(), raw}) {
+    // Hierarchies from one seed sign identically while they see the same
+    // calls: `twin` replays setup's sample-witness chain, then builds the
+    // witness GenerateNopeProof builds on `f`.
+    OptStatementFixture f;
+    OptStatementFixture twin;
+    Rng setup_rng(99);
+    NopeDeployment dep = NopeTrustedSetup(&f.dns, f.domain, options, &setup_rng);
+    twin.dns.BuildChain(twin.domain);
+    ConstraintSystem cs;
+    BuildNopeStatement(&cs, dep.params,
+                       BuildWitness(&twin.dns, twin.domain, tls_key, "Example CA", now));
+    Rng oracle_rng(7);
+    groth16::Proof oracle =
+        options.optimize_circuit ? groth16::Prove(dep.pk, Optimize(cs).cs, &oracle_rng)
+                                 : groth16::Prove(dep.pk, cs, &oracle_rng);
+
+    Rng rng(7);
+    NopeProofBundle bundle =
+        GenerateNopeProof(dep, &f.dns, f.domain, tls_key, "Example CA", now, &rng);
+    EXPECT_EQ(bundle.proof.ToBytes(), oracle.ToBytes());
+    groth16::Proof decoded =
+        groth16::Proof::FromBytes(DecodeProofFromSans(bundle.sans, f.domain).value());
+    std::vector<Fr> pub = NopePublicInputs(dep.params, f.domain, TlsKeyDigest(tls_key),
+                                           CaNameDigest("Example CA"), TruncateTimestamp(now));
+    EXPECT_TRUE(groth16::Verify(dep.vk(), pub, decoded));
+
+    EXPECT_EQ(dep.statement_wires, cs.NumVariables());
+    EXPECT_EQ(dep.circuit_wires.size(), dep.pk.a_query.size());
+    if (options.optimize_circuit) {
+      optimized_wires = dep.circuit_wires.size();
+    } else {
+      // The unoptimized circuit is the statement itself, under the identity map.
+      EXPECT_TRUE(SameMatrices(dep.circuit, cs));
+      for (size_t i = 0; i < dep.circuit_wires.size(); ++i) {
+        ASSERT_EQ(dep.circuit_wires[i], i);
+      }
+      EXPECT_LT(optimized_wires, dep.circuit_wires.size());
+    }
+  }
+}
+
+TEST(OptimizerStatement, RotationRejectsCircuitThatDoesNotFit) {
+  OptStatementFixture f;
+  ConstraintSystem statement;
+  BuildNopeStatement(&statement, f.Params(), f.Witness(0xaa));
+  const Var wires = static_cast<Var>(statement.NumVariables());
+
+  // A deployment assembled by hand, as a verifier-side stand-in is: the
+  // statement shape and keys for a one-product circuit, but no circuit from
+  // setup.
+  ConstraintSystem stand_in;
+  Var x = stand_in.AddPublicInput(Fr::FromU64(3));
+  Var y = stand_in.AddWitness(Fr::FromU64(9));
+  stand_in.Enforce(LC(x), LC(x), LC(y));
+  Rng rng(5);
+  NopeDeployment dep;
+  dep.params = f.Params();
+  dep.pk = groth16::Setup(stand_in, &rng);
+  auto rotate = [&] {
+    return GenerateNopeProof(dep, &f.dns, f.domain, Bytes(65, 0x04), "Example CA", 1750000000,
+                             &rng);
+  };
+  EXPECT_THROW(rotate(), std::invalid_argument);
+
+  dep.circuit = stand_in;
+  dep.statement_wires = wires;
+  dep.circuit_wires = {kOneVar, 1, wires};  // past the statement's last wire
+  EXPECT_THROW(rotate(), std::invalid_argument);
+  dep.circuit_wires = {kOneVar, 1};  // shorter than the circuit
+  EXPECT_THROW(rotate(), std::invalid_argument);
+  // A map that fits but pairs the circuit with statement wires it does not
+  // constrain: Prove's satisfaction check rejects the assignment.
+  dep.circuit_wires = {kOneVar, 1, 2};
+  EXPECT_THROW(rotate(), std::invalid_argument);
 }
 
 }  // namespace

@@ -1,9 +1,10 @@
-// Prints FNV-1a digests of (a) a seeded 512-point G1 MSM's affine result and
-// (b) a seeded Groth16 proof's 128-byte encoding. Not a gtest: ci.sh runs
-// this binary under different NOPE_SIMD / NOPE_THREADS environments and
-// diffs the stdout, pinning the cross-process determinism contract (proof
-// bytes bit-identical across SIMD backends and thread counts). The env is
-// read once per process, so the comparison must span processes.
+// Prints FNV-1a digests of (a) a seeded 512-point G1 MSM's affine result,
+// (b) a seeded Groth16 proof's 128-byte encoding and (c) a seeded chain of
+// FFTs. Not a gtest: ci.sh runs this binary under different NOPE_SIMD /
+// NOPE_THREADS environments and diffs the stdout, pinning the cross-process
+// determinism contract (proof and transform bytes bit-identical across SIMD
+// backends and thread counts). The env is read once per process, so the
+// comparison must span processes.
 #include <cstdint>
 #include <cstdio>
 
@@ -61,6 +62,30 @@ uint64_t ProofDigest() {
   return Fnv1a(enc.data(), enc.size());
 }
 
+// A seeded 2^12 chain Fft -> Ifft -> CosetFft -> CosetIfft, digesting every
+// transform's output (the round trips would otherwise hide a stage). Its
+// 2048-butterfly stages run the full-width batched twiddle multiplies that
+// the proof digest's 8-point domain never reaches.
+uint64_t FftDigest() {
+  using Transform = void (EvaluationDomain::*)(std::vector<Fr>*, const CancellationToken*) const;
+  Rng rng(314159);
+  EvaluationDomain domain(size_t{1} << 12);
+  std::vector<Fr> v(domain.size());
+  for (Fr& x : v) {
+    x = Fr::Random(&rng);
+  }
+  uint64_t h = 0xcbf29ce484222325ull;
+  for (Transform t : {&EvaluationDomain::Fft, &EvaluationDomain::Ifft,
+                      &EvaluationDomain::CosetFft, &EvaluationDomain::CosetIfft}) {
+    (domain.*t)(&v, nullptr);
+    for (const Fr& x : v) {
+      Bytes enc = x.ToBigUInt().ToBytes(32);
+      h = Fnv1a(enc.data(), enc.size(), h);
+    }
+  }
+  return h;
+}
+
 }  // namespace
 }  // namespace nope
 
@@ -72,5 +97,7 @@ int main() {
               static_cast<unsigned long long>(nope::MsmDigest()));
   std::printf("proof_digest=%016llx\n",
               static_cast<unsigned long long>(nope::ProofDigest()));
+  std::printf("fft_digest=%016llx\n",
+              static_cast<unsigned long long>(nope::FftDigest()));
   return 0;
 }
