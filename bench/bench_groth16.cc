@@ -201,24 +201,20 @@ void EmitThreadsComparison() {
 
   // Kernel metrics gate CI via the speedup ratios below, so they get an
   // interleaved sampling schedule: every repetition visits each thread
-  // configuration (and the old kernel) once, so slow drift -- CPU frequency
-  // scaling, a noisy co-tenant -- hits all configurations over the same
-  // time window instead of whichever happened to run last. The absolute ms
-  // metrics are medians per configuration; the speedup ratios divide the
-  // per-configuration *minimums*: preemption and steal noise are strictly
-  // additive, so the min over interleaved reps estimates each config's
-  // noise-free cost (medians still carry a few percent of scheduler jitter
-  // on a busy 1-core host, which is larger than the effects being gated).
-  // The coset-FFT sample times kFftIters transforms (a single one is ~9 ms,
-  // small enough for scheduler jitter to dominate) and divides. MsmJacobian
-  // is the pre-overhaul Pippenger (Jacobian buckets, unsigned windows, no
-  // GLV) kept as the differential reference; Msm is the signed-digit
-  // batch-affine kernel.
+  // configuration once, so slow drift -- CPU frequency scaling, a noisy
+  // co-tenant -- hits all configurations over the same time window instead
+  // of whichever happened to run last. The absolute ms metrics are medians
+  // per configuration; the speedup ratios divide the per-configuration
+  // *minimums*: preemption and steal noise are strictly additive, so the min
+  // over interleaved reps estimates each config's noise-free cost (medians
+  // still carry a few percent of scheduler jitter on a busy 1-core host,
+  // which is larger than the effects being gated). The coset-FFT sample
+  // times kFftIters transforms (a single one is ~9 ms, small enough for
+  // scheduler jitter to dominate) and divides.
   constexpr int kReps = 24;
   constexpr int kFftIters = 6;
   const size_t cfgs[3] = {1, 4, hw};
   std::array<std::vector<double>, 3> msm_ms, fft_ms;
-  std::vector<double> old_ms;
   auto once = [](const std::function<void()>& op) {
     auto start = std::chrono::steady_clock::now();
     op();
@@ -245,9 +241,6 @@ void EmitThreadsComparison() {
                            }) /
                            kFftIters);
     }
-    ThreadPool::SetGlobalThreads(1);
-    old_ms.push_back(once(
-        [&] { benchmark::DoNotOptimize(MsmJacobian(bases, scalars)); }));
   }
   ThreadPool::SetGlobalThreads(0);
   auto median = [](std::vector<double> v) {
@@ -264,16 +257,9 @@ void EmitThreadsComparison() {
                   suffixes[ci]);
     EmitJson(name, median(fft_ms[ci]));
   }
-  char old_name[64];
-  std::snprintf(old_name, sizeof(old_name), "msm_g1_%zu_ms_old_kernel",
-                kMsmSize);
-  EmitJson(old_name, median(old_ms));
-
   auto minimum = [](const std::vector<double>& v) {
     return *std::min_element(v.begin(), v.end());
   };
-  EmitJson("msm_kernel_speedup", minimum(old_ms) / minimum(msm_ms[0]));
-
   EmitJson("threads_n", static_cast<double>(hw));
   EmitJson("simd_lanes", static_cast<double>(Fr::SimdLanes()));
   std::printf("{\"bench\": \"groth16\", \"metric\": \"simd_backend_%s\", "
@@ -292,7 +278,7 @@ void EmitThreadsComparison() {
 // Offline sweep behind NOPE_MSM_AUTOTUNE=1: times MsmSignedAffine directly
 // for every (n, c) cell and prints the best window width per size. The
 // workload mirrors what the kernel actually sees after GLV splitting
-// (~130-bit scalars), since that is what PickSignedWindow keys on. The
+// (~130-bit limb scalars), since that is what PickSignedWindow keys on. The
 // winning widths are PINNED into msm_detail::kSignedWindowTable by hand --
 // never measured at runtime -- so window choice stays a pure function of
 // input size and the determinism contract holds on every host.
@@ -308,17 +294,16 @@ void RunMsmAutotune() {
     p = p.Double().Add(G1Generator());
   }
   std::vector<G1Affine> bases = BatchToAffine(jac);
-  const BigUInt half_bound = BigUInt(1) << 130;
-  std::vector<BigUInt> scalars(kMaxN);
-  for (auto& s : scalars) {
-    s = BigUInt::RandomBelow(&rng, half_bound);
+  std::vector<MsmScalar> scalars(kMaxN);
+  for (MsmScalar& s : scalars) {
+    s = {rng.NextU64(), rng.NextU64(), rng.NextU64() & 3, 0};  // < 2^130
   }
 
   std::printf("# autotune: best signed-window width per kernel-visible n "
               "(backend=%s)\n", Fr::SimdBackendName());
   for (size_t n = 128; n <= kMaxN; n *= 2) {
     std::vector<G1Affine> b(bases.begin(), bases.begin() + n);
-    std::vector<BigUInt> s(scalars.begin(), scalars.begin() + n);
+    std::vector<MsmScalar> s(scalars.begin(), scalars.begin() + n);
     size_t best_c = 0;
     double best_ms = 0;
     for (size_t c = 2; c <= 14; ++c) {

@@ -69,7 +69,9 @@ echo "=== stage 4c: SIMD off/on digest identity ==="
 # NOPE_SIMD env is read once per process), so it cannot live in a gtest:
 # run the digest binary under every backend x thread-count combination and
 # require bit-identical stdout. Covers MSM result bytes, full Groth16
-# proof bytes and the outputs of a 2^12 FFT chain.
+# proof bytes, the outputs of a 2^12 FFT chain, and witness-shaped G1/G2
+# MSMs (mostly zero and one scalars) that run every part of MsmAffine's
+# density split: the short-scalar part, the GLV tail and the G2 tail.
 cmake --build build -j "$(nproc)" --target simd_determinism_main >/dev/null
 ref="$(NOPE_SIMD=off NOPE_THREADS=1 ./build/tests/simd_determinism_main 2>/dev/null)"
 for simd in off on; do
@@ -98,7 +100,8 @@ for t in "${NOSIMD_TARGETS[@]}"; do
   ./build-nosimd/tests/"$t"
 done
 # Cross-BUILD digest identity: a binary with no SIMD kernels compiled in
-# must produce the same proof bytes as the SIMD build.
+# must produce the same proof bytes and split-path MSM results as the SIMD
+# build.
 got="$(./build-nosimd/tests/simd_determinism_main 2>/dev/null)"
 if [ "$got" != "$ref" ]; then
   echo "FAILED: NOPE_SIMD=OFF build digest mismatch" >&2

@@ -6,6 +6,9 @@ namespace nope {
 
 namespace {
 
+using Limbs = std::array<uint64_t, 4>;
+using Wide = unsigned __int128;
+
 // Sign-magnitude integers for the lattice arithmetic. `neg` is meaningless
 // (kept false) when mag is zero.
 struct SBig {
@@ -40,21 +43,122 @@ SBig SMul(const SBig& a, const SBig& b) {
 // multiply-shifts instead of two long divisions. kShift = 384 leaves the
 // approximation error at k*|delta|/2^384 < 2^-130 for k < 2^254, so the
 // computed coefficients differ from exact rounding by at most 1 -- which the
-// k_i bound below absorbs.
+// k_i bound below absorbs. 384 is six whole limbs, so the shift is a limb
+// select.
 constexpr size_t kShift = 384;
+
+// A scaled reciprocal is ~2^(kShift - 254) times a ~2^128 basis component:
+// five limbs hold it with room to spare (checked at derivation).
+using Reciprocal = std::array<uint64_t, 5>;
 
 struct GlvParams {
   Fq beta;
   BigUInt lambda;
-  // Short basis of {(a, b) : a + b*lambda == 0 mod r}: v1 = (a1, b1),
-  // v2 = (a2, b2), determinant a1*b2 - a2*b1 == +r.
-  SBig a1, b1, a2, b2;
-  // Scaled reciprocals: g1 = round(2^kShift * b2 / r) with b2's sign,
-  // g2 = round(2^kShift * (-b1) / r) with -b1's sign, and the rounding bias
-  // 2^(kShift-1), so c_i = (k * g_i + bias) >> kShift.
-  BigUInt g1, g2, round_bias;
-  bool g1_neg = false, g2_neg = false;
+  Limbs r;
+  // Scaled reciprocals |g1| = round(2^kShift * |b2| / r) and
+  // |g2| = round(2^kShift * |b1| / r) of the short basis v1 = (a1, b1),
+  // v2 = (a2, b2) of {(a, b) : a + b*lambda == 0 mod r} (determinant +r),
+  // so the Babai coefficients are c_i = sign(g_i) * ((k*|g_i| + 2^(kShift-1))
+  // >> kShift).
+  Reciprocal g1, g2;
+  // The basis with each coefficient's sign folded in and negated, as 2^256
+  // two's complement: k1 = k + |c1|*m_a1 + |c2|*m_a2 and
+  // k2 = |c1|*m_b1 + |c2|*m_b2 (mod 2^256), where m_a1 = -sign(g1)*a1 and so
+  // on. The true k1, k2 are far below 2^255, so their residues mod 2^256
+  // read back exactly as signed values.
+  Limbs m_a1, m_a2, m_b1, m_b2;
 };
+
+template <size_t N>
+std::array<uint64_t, N> ToLimbs(const BigUInt& v) {
+  NOPE_INVARIANT(v.limbs().size() <= N, "GLV: constant wider than its limb array");
+  std::array<uint64_t, N> out{};
+  for (size_t i = 0; i < v.limbs().size(); ++i) {
+    out[i] = v.limbs()[i];
+  }
+  return out;
+}
+
+// -a mod 2^256.
+Limbs Negate256(const Limbs& a) {
+  Limbs out;
+  uint64_t carry = 1;
+  for (size_t i = 0; i < 4; ++i) {
+    Wide t = static_cast<Wide>(~a[i]) + carry;
+    out[i] = static_cast<uint64_t>(t);
+    carry = static_cast<uint64_t>(t >> 64);
+  }
+  return out;
+}
+
+// The 2^256 two's-complement form of sign * |v|.
+Limbs TwosComplement(const SBig& v) {
+  Limbs mag = ToLimbs<4>(v.mag);
+  return v.neg ? Negate256(mag) : mag;
+}
+
+Limbs Add256(const Limbs& a, const Limbs& b) {
+  Limbs out;
+  uint64_t carry = 0;
+  for (size_t i = 0; i < 4; ++i) {
+    Wide t = static_cast<Wide>(a[i]) + b[i] + carry;
+    out[i] = static_cast<uint64_t>(t);
+    carry = static_cast<uint64_t>(t >> 64);
+  }
+  return out;
+}
+
+// a * b mod 2^256 (the low half of the schoolbook product).
+Limbs Mul256(const Limbs& a, const Limbs& b) {
+  Limbs out{};
+  for (size_t i = 0; i < 4; ++i) {
+    uint64_t carry = 0;
+    for (size_t j = 0; i + j < 4; ++j) {
+      Wide t = static_cast<Wide>(a[i]) * b[j] + out[i + j] + carry;
+      out[i + j] = static_cast<uint64_t>(t);
+      carry = static_cast<uint64_t>(t >> 64);
+    }
+  }
+  return out;
+}
+
+// (k * g + 2^(kShift-1)) >> kShift for k < r: the 9-limb product plus the
+// rounding bit at limb 5, keeping limbs 6.. (k*g < 2^(254+320) leaves no
+// carry out of limb 8).
+Limbs RoundedQuotient(const Limbs& k, const Reciprocal& g) {
+  uint64_t prod[9] = {};
+  for (size_t i = 0; i < 4; ++i) {
+    uint64_t carry = 0;
+    for (size_t j = 0; j < 5; ++j) {
+      Wide t = static_cast<Wide>(k[i]) * g[j] + prod[i + j] + carry;
+      prod[i + j] = static_cast<uint64_t>(t);
+      carry = static_cast<uint64_t>(t >> 64);
+    }
+    prod[i + 5] = carry;
+  }
+  uint64_t carry = uint64_t{1} << 63;
+  for (size_t i = 5; i < 9; ++i) {
+    Wide t = static_cast<Wide>(prod[i]) + carry;
+    prod[i] = static_cast<uint64_t>(t);
+    carry = static_cast<uint64_t>(t >> 64);
+  }
+  return {prod[6], prod[7], prod[8], 0};
+}
+
+bool LessThan(const Limbs& a, const Limbs& b) {
+  for (size_t i = 4; i-- > 0;) {
+    if (a[i] != b[i]) {
+      return a[i] < b[i];
+    }
+  }
+  return false;
+}
+
+// Reads a 2^256 residue as a signed value: magnitude and sign.
+void ToSigned(const Limbs& v, Limbs* mag, bool* neg) {
+  *neg = (v[3] >> 63) != 0;
+  *mag = *neg ? Negate256(v) : v;
+}
 
 // Finds a primitive cube root of unity mod `m` as t^((m-1)/3) for the first
 // small t where that power is nontrivial. Requires m == 1 (mod 3).
@@ -101,8 +205,8 @@ GlvParams DeriveGlvParams() {
   // sqrt(r) when the quotient at the crossing is large (it is for BN254,
   // whose lambda yields a lopsided 191/63-bit row m).
   auto [row_m, row_m1] = BigUInt::HalfGcdRows(r, out.lambda);
-  out.a1 = MakeS(row_m1.r);
-  out.b1 = MakeS(row_m1.t, !row_m1.t_neg);
+  SBig a1 = MakeS(row_m1.r);
+  SBig b1 = MakeS(row_m1.t, !row_m1.t_neg);
 
   SBig a2_m = MakeS(row_m.r);
   SBig b2_m = MakeS(row_m.t, !row_m.t_neg);
@@ -118,28 +222,28 @@ GlvParams DeriveGlvParams() {
   auto max_component = [](const SBig& a, const SBig& b) {
     return a.mag >= b.mag ? a.mag : b.mag;
   };
-  if (max_component(a2_m2, b2_m2) < max_component(a2_m, b2_m)) {
-    out.a2 = a2_m2;
-    out.b2 = b2_m2;
-  } else {
-    out.a2 = a2_m;
-    out.b2 = b2_m;
-  }
+  const bool use_m2 = max_component(a2_m2, b2_m2) < max_component(a2_m, b2_m);
+  SBig a2 = use_m2 ? a2_m2 : a2_m;
+  SBig b2 = use_m2 ? b2_m2 : b2_m;
 
   // Normalize the determinant to +r (negate v2 if needed); |det| == r holds
   // whenever the basis is a genuine basis of the full lattice.
-  SBig det = SSub(SMul(out.a1, out.b2), SMul(out.a2, out.b1));
+  SBig det = SSub(SMul(a1, b2), SMul(a2, b1));
   NOPE_INVARIANT(det.mag == r, "GLV: lattice basis determinant != +-r");
   if (det.neg) {
-    out.a2 = SNeg(out.a2);
-    out.b2 = SNeg(out.b2);
+    a2 = SNeg(a2);
+    b2 = SNeg(b2);
   }
 
-  out.g1 = ((out.b2.mag << kShift) + (r >> 1)) / r;
-  out.g1_neg = out.b2.neg;
-  out.g2 = ((out.b1.mag << kShift) + (r >> 1)) / r;
-  out.g2_neg = !out.b1.neg;  // g2 approximates -b1/r
-  out.round_bias = BigUInt(1) << (kShift - 1);
+  const bool g1_neg = b2.neg;
+  const bool g2_neg = !b1.neg;  // g2 approximates -b1/r
+  out.r = ToLimbs<4>(r);
+  out.g1 = ToLimbs<5>(((b2.mag << kShift) + (r >> 1)) / r);
+  out.g2 = ToLimbs<5>(((b1.mag << kShift) + (r >> 1)) / r);
+  out.m_a1 = TwosComplement(g1_neg ? a1 : SNeg(a1));
+  out.m_b1 = TwosComplement(g1_neg ? b1 : SNeg(b1));
+  out.m_a2 = TwosComplement(g2_neg ? a2 : SNeg(a2));
+  out.m_b2 = TwosComplement(g2_neg ? b2 : SNeg(b2));
   return out;
 }
 
@@ -154,28 +258,35 @@ const Fq& GlvBeta() { return Params().beta; }
 
 const BigUInt& GlvLambda() { return Params().lambda; }
 
-GlvDecomposition GlvDecompose(const BigUInt& k) {
+GlvDecomposition GlvDecompose(const std::array<uint64_t, 4>& k_in) {
   const GlvParams& p = Params();
-  const BigUInt& r = Bn254Order();
-  SBig ks = MakeS(k < r ? k : k % r);
+  // 2^256 < 6r, so at most five subtractions reduce any input.
+  Limbs k = k_in;
+  while (!LessThan(k, p.r)) {
+    k = Add256(k, Negate256(p.r));
+  }
 
   // Babai round-off: (k, 0) = c1*v1 + c2*v2 + (k1, k2) with c_i the rounded
   // rational coordinates of (k, 0) in the basis. Since det == +r:
   //   c1 = round(k*b2 / r), c2 = round(-k*b1 / r),
   // evaluated via the precomputed 2^kShift-scaled reciprocals (a multiply
-  // and shift per coefficient; see kShift above for the error bound).
-  SBig c1 = MakeS((ks.mag * p.g1 + p.round_bias) >> kShift, p.g1_neg);
-  SBig c2 = MakeS((ks.mag * p.g2 + p.round_bias) >> kShift, p.g2_neg);
-  SBig k1 = SSub(SSub(ks, SMul(c1, p.a1)), SMul(c2, p.a2));
-  SBig k2 = SNeg(SAdd(SMul(c1, p.b1), SMul(c2, p.b2)));
+  // and a limb select per coefficient; see kShift above for the error
+  // bound). The remainders come out mod 2^256 (see GlvParams).
+  const Limbs c1 = RoundedQuotient(k, p.g1);
+  const Limbs c2 = RoundedQuotient(k, p.g2);
+  const Limbs k1 = Add256(k, Add256(Mul256(c1, p.m_a1), Mul256(c2, p.m_a2)));
+  const Limbs k2 = Add256(Mul256(c1, p.m_b1), Mul256(c2, p.m_b2));
 
+  GlvDecomposition d;
+  ToSigned(k1, &d.k1, &d.k1_neg);
+  ToSigned(k2, &d.k2, &d.k2_neg);
   // Exact rounding keeps each component under (|v1| + |v2|) / 2; the +-1
   // reciprocal slack adds at most one more basis vector. With basis vectors
   // below 2^129 the components stay safely under 2^130. A violation means
   // the basis derivation broke, not that the input was hostile.
-  NOPE_INVARIANT(k1.mag.BitLength() <= 130 && k2.mag.BitLength() <= 130,
+  NOPE_INVARIANT(d.k1[3] == 0 && d.k1[2] < 4 && d.k2[3] == 0 && d.k2[2] < 4,
                  "GLV: decomposition exceeded the half-size bound");
-  return GlvDecomposition{k1.mag, k2.mag, k1.neg, k2.neg};
+  return d;
 }
 
 AffinePoint<Bn254G1Config> GlvEndomorphism(

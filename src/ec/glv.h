@@ -17,6 +17,9 @@
 #ifndef SRC_EC_GLV_H_
 #define SRC_EC_GLV_H_
 
+#include <array>
+#include <cstdint>
+
 #include "src/base/biguint.h"
 #include "src/ec/bn254.h"
 
@@ -36,9 +39,10 @@ struct GlvTraits<Bn254G1Config> {
 };
 
 // k == sign(k1)*|k1| + lambda * sign(k2)*|k2| (mod r), |k1|, |k2| < 2^130.
+// Magnitudes are little-endian 64-bit limbs, like the MSM's scalars.
 struct GlvDecomposition {
-  BigUInt k1;
-  BigUInt k2;
+  std::array<uint64_t, 4> k1{};
+  std::array<uint64_t, 4> k2{};
   bool k1_neg = false;
   bool k2_neg = false;
 };
@@ -50,10 +54,11 @@ const Fq& GlvBeta();
 // The matching eigenvalue: lambda^2 + lambda + 1 == 0 (mod r).
 const BigUInt& GlvLambda();
 
-// Decomposes k (reduced mod r internally; valid for any scalar because G1
-// has cofactor 1) into the half-size pair above via Babai rounding against
-// the derived short lattice basis.
-GlvDecomposition GlvDecompose(const BigUInt& k);
+// Decomposes a 256-bit little-endian k (reduced mod r internally; valid for
+// any scalar because G1 has cofactor 1) into the half-size pair above via
+// Babai rounding against the derived short lattice basis. Fixed-width limb
+// arithmetic throughout: no allocation, no long division.
+GlvDecomposition GlvDecompose(const std::array<uint64_t, 4>& k);
 
 // phi(P) = (beta*x, y); infinity maps to infinity.
 AffinePoint<Bn254G1Config> GlvEndomorphism(const AffinePoint<Bn254G1Config>& p);

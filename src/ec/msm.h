@@ -2,32 +2,34 @@
 // Groth16 proving time, which is why the paper's headline prover costs scale
 // with the number of R1CS constraints (§4.1, §8.2).
 //
-// Two kernels live here:
+// One kernel: affine bases (mixed additions), batch-affine bucket
+// accumulation (per-round shared inversion resolves all pending bucket
+// additions with one field inversion), signed-digit windows (digit in
+// [-2^(c-1), 2^(c-1)-1], halving the bucket count via on-the-fly negation),
+// over fixed-width scalars: four little-endian 64-bit limbs in standard form
+// (MsmScalar), read with shifts and masks.
 //
-//   MsmJacobian — the original straightforward kernel (Jacobian bases,
-//     unsigned windows). Kept as the differential-testing and benchmarking
-//     reference for the fast path.
+// MsmAffine puts a density split in front of it. A prover witness is mostly
+// zeros and ones, so one pass sorts the inputs: zero scalars and infinity
+// bases drop out, scalars of at most 64 bits run the kernel on their own
+// (short) window schedule, and only the full-width rest is GLV-decomposed
+// (BN254 G1: half-length scalars over twice the bases) or run at full length.
 //
-//   MsmAffine / Msm — the fast kernel: affine bases (mixed additions),
-//     batch-affine bucket accumulation (per-round shared inversion resolves
-//     all pending bucket additions with one field inversion), signed-digit
-//     windows (digit in [-2^(c-1), 2^(c-1)-1], halving the bucket count via
-//     on-the-fly negation), and — for BN254 G1 only — GLV lambda
-//     decomposition (half-length scalars, double-width input).
-//
-// Determinism contract (both kernels): the window width, digit schedule and
-// chunk grid are pure functions of the input size and scalar bit-length,
-// never of the thread count; each chunk owns private buckets; chunk buckets
-// merge in serial chunk order. Affine bucket coordinates are canonical, so
-// the batch-affine reduction tree cannot leak representation differences.
-// The returned Jacobian point is bit-identical for any NOPE_THREADS value.
+// Determinism contract: the split is a pure function of the scalars and
+// keeps input order; the window width, digit schedule and chunk grid of each
+// part are pure functions of its size and scalar bit-length, never of the
+// thread count; each chunk owns private buckets; chunk buckets merge in
+// serial chunk order; the parts are summed in a fixed order. Affine bucket
+// coordinates are canonical, so the batch-affine reduction tree cannot leak
+// representation differences. The returned Jacobian point is bit-identical
+// for any NOPE_THREADS value.
 #ifndef SRC_EC_MSM_H_
 #define SRC_EC_MSM_H_
 
 #include <algorithm>
+#include <array>
 #include <cstddef>
 #include <cstdint>
-#include <utility>
 #include <vector>
 
 #include "src/base/biguint.h"
@@ -40,33 +42,20 @@
 
 namespace nope {
 
+// A fixed-width MSM scalar: four little-endian 64-bit limbs, standard form
+// (Fr::ToStdLimbsBatch writes this layout).
+using MsmScalar = std::array<uint64_t, 4>;
+
 namespace msm_detail {
-// Extracts `width` bits of k starting at bit `offset` (little-endian bits).
-inline uint64_t WindowBits(const BigUInt& k, size_t offset, size_t width) {
-  uint64_t out = 0;
-  for (size_t b = 0; b < width; ++b) {
-    if (k.Bit(offset + b)) {
-      out |= uint64_t{1} << b;
+
+inline size_t ScalarBitLength(const MsmScalar& k) {
+  for (size_t i = 4; i-- > 0;) {
+    if (k[i] != 0) {
+      return 64 * i + 64 - static_cast<size_t>(__builtin_clzll(k[i]));
     }
   }
-  return out;
+  return 0;
 }
-
-inline size_t PickWindow(size_t n) {
-  if (n < 32) {
-    return 3;
-  }
-  size_t c = 1;
-  while ((size_t{1} << (c + 1)) < n / (c + 1)) {
-    ++c;
-  }
-  return c > 16 ? 16 : c;
-}
-
-// Inputs below this size take the single-pass serial path in MsmJacobian; at
-// or above it, the fixed-chunk-grid path (which parallelizes when lanes are
-// available). The path choice depends only on n, preserving determinism.
-constexpr size_t kParallelCutoff = 256;
 
 // Analytic window cost model for the signed-digit kernel: per window, ~7
 // field muls per point in the batch-affine accumulation and ~2 Jacobian adds
@@ -131,14 +120,26 @@ inline size_t PickSignedWindow(size_t n, size_t max_bits) {
 // digit in [-2^(c-1), 2^(c-1)-1]. A raw window value >= 2^(c-1) becomes
 // (raw - 2^c) plus a carry into the next window; the extra top window
 // (callers size windows = ceil(max_bits/c) + 1) absorbs the final carry, so
-// the recoding is exact: sum digit_w * 2^(cw) == k.
-inline void SignedDigits(const BigUInt& k, size_t c, size_t windows,
+// the recoding is exact: sum digit_w * 2^(cw) == k. Each window is one or
+// two shifted limb reads (c <= 16, so a window straddles at most one limb
+// boundary); windows past bit 255 read zero.
+inline void SignedDigits(const MsmScalar& k, size_t c, size_t windows,
                          int32_t* out) {
+  const uint64_t mask = (uint64_t{1} << c) - 1;
   const int64_t full = int64_t{1} << c;
   const int64_t half = int64_t{1} << (c - 1);
   int64_t carry = 0;
   for (size_t w = 0; w < windows; ++w) {
-    int64_t raw = static_cast<int64_t>(WindowBits(k, w * c, c)) + carry;
+    const size_t limb = w * c / 64;
+    const size_t shift = w * c % 64;
+    uint64_t bits = 0;
+    if (limb < 4) {
+      bits = k[limb] >> shift;
+      if (shift + c > 64 && limb + 1 < 4) {
+        bits |= k[limb + 1] << (64 - shift);
+      }
+    }
+    int64_t raw = static_cast<int64_t>(bits & mask) + carry;
     if (raw >= half) {
       out[w] = static_cast<int32_t>(raw - full);
       carry = 1;
@@ -442,137 +443,20 @@ void AccumulateChunk(const std::vector<AffinePoint<Config>>& bases,
 }
 }  // namespace msm_detail
 
-// Original Pippenger kernel over Jacobian bases with unsigned windows. Kept
-// as the reference implementation: the fast kernel is differential-tested
-// against it, and bench_groth16 reports both so the speedup is visible in
-// BENCH_results.json.
+// Signed-digit batch-affine kernel over affine bases. Scalars are treated as
+// plain non-negative integers (callers wanting the density split and GLV go
+// through MsmAffine).
 //
 // `cancel` (optional) is polled at window and chunk boundaries: once it
 // fires the remaining work is skipped and the returned point is garbage, so
 // callers that pass a token must check it after the call and discard the
 // result. A null or quiet token leaves the output bit-identical.
-template <typename Point>
-Point MsmJacobian(const std::vector<Point>& bases,
-                  const std::vector<BigUInt>& scalars,
-                  const CancellationToken* cancel = nullptr) {
-  NOPE_INVARIANT(bases.size() == scalars.size(),
-                 "Msm: bases/scalars size mismatch");
-  if (bases.empty()) {
-    return Point::Infinity();
-  }
-
-  size_t max_bits = 1;
-  for (const auto& s : scalars) {
-    max_bits = std::max(max_bits, s.BitLength());
-  }
-  const size_t n = bases.size();
-  const size_t c = msm_detail::PickWindow(n);
-  const size_t windows = (max_bits + c - 1) / c;
-  const size_t num_buckets = (size_t{1} << c) - 1;
-
-  if (n < msm_detail::kParallelCutoff) {
-    Point result = Point::Infinity();
-    std::vector<Point> buckets(num_buckets);
-    for (size_t w = windows; w-- > 0;) {
-      if (cancel != nullptr && cancel->cancelled()) {
-        return result;  // garbage; caller checks the token
-      }
-      for (size_t d = 0; d < c; ++d) {
-        result = result.Double();
-      }
-      for (auto& b : buckets) {
-        b = Point::Infinity();
-      }
-      for (size_t i = 0; i < n; ++i) {
-        uint64_t idx = msm_detail::WindowBits(scalars[i], w * c, c);
-        if (idx != 0) {
-          buckets[idx - 1] = buckets[idx - 1].Add(bases[i]);
-        }
-      }
-      // Sum of idx * bucket[idx] via running suffix sums.
-      Point running = Point::Infinity();
-      Point window_sum = Point::Infinity();
-      for (size_t idx = buckets.size(); idx-- > 0;) {
-        running = running.Add(buckets[idx]);
-        window_sum = window_sum.Add(running);
-      }
-      result = result.Add(window_sum);
-    }
-    return result;
-  }
-
-  // Fixed chunk grid: ~2 * 2^c points per chunk keeps each private bucket
-  // array reasonably dense, so the serial-order merge below costs a fraction
-  // of the accumulation it follows.
-  const size_t chunk_size =
-      std::max(msm_detail::kParallelCutoff, size_t{2} << c);
-  const size_t num_chunks = (n + chunk_size - 1) / chunk_size;
-
-  ThreadPool& pool = ThreadPool::Global();
-  std::vector<std::vector<Point>> chunk_buckets(
-      num_chunks, std::vector<Point>(num_buckets, Point::Infinity()));
-  std::vector<Point> merged(num_buckets, Point::Infinity());
-
-  Point result = Point::Infinity();
-  for (size_t w = windows; w-- > 0;) {
-    if (cancel != nullptr && cancel->cancelled()) {
-      return result;  // garbage; caller checks the token
-    }
-    for (size_t d = 0; d < c; ++d) {
-      result = result.Double();
-    }
-    // Phase 1: each chunk accumulates its own points into private buckets.
-    pool.ParallelFor(0, num_chunks, ThreadPool::ComputeMinChunk(num_chunks, 1),
-                     [&](size_t lo, size_t hi) {
-      for (size_t ci = lo; ci < hi; ++ci) {
-        if (cancel != nullptr && cancel->cancelled()) {
-          return;  // abandon this share's remaining chunks
-        }
-        auto& buckets = chunk_buckets[ci];
-        std::fill(buckets.begin(), buckets.end(), Point::Infinity());
-        size_t i_end = std::min(n, (ci + 1) * chunk_size);
-        for (size_t i = ci * chunk_size; i < i_end; ++i) {
-          uint64_t idx = msm_detail::WindowBits(scalars[i], w * c, c);
-          if (idx != 0) {
-            buckets[idx - 1] = buckets[idx - 1].Add(bases[i]);
-          }
-        }
-      }
-    }, cancel);
-    // Phase 2: merge per-bucket across chunks, always in chunk order so the
-    // Jacobian representation is independent of the bucket partitioning.
-    pool.ParallelFor(0, num_buckets,
-                     ThreadPool::ComputeMinChunk(num_buckets, 64),
-                     [&](size_t lo, size_t hi) {
-      for (size_t idx = lo; idx < hi; ++idx) {
-        Point sum = chunk_buckets[0][idx];
-        for (size_t ci = 1; ci < num_chunks; ++ci) {
-          sum = sum.Add(chunk_buckets[ci][idx]);
-        }
-        merged[idx] = sum;
-      }
-    }, cancel);
-    // Phase 3: serial window reduction (suffix sums), identical to the
-    // serial path's bucket walk.
-    Point running = Point::Infinity();
-    Point window_sum = Point::Infinity();
-    for (size_t idx = merged.size(); idx-- > 0;) {
-      running = running.Add(merged[idx]);
-      window_sum = window_sum.Add(running);
-    }
-    result = result.Add(window_sum);
-  }
-  return result;
-}
-
-// Signed-digit batch-affine kernel over affine bases. Scalars are treated as
-// plain non-negative integers (callers wanting GLV go through MsmAffine).
-// Cancellation semantics match MsmJacobian. `window_override` forces the
-// window width c (used by the autotune sweep in bench_groth16 to measure
-// every cell of the table feeding PickSignedWindow); 0 means pick normally.
+// `window_override` forces the window width c (used by the autotune sweep in
+// bench_groth16 to measure every cell of the table feeding
+// PickSignedWindow); 0 means pick normally.
 template <typename Config>
 EcPoint<Config> MsmSignedAffine(const std::vector<AffinePoint<Config>>& bases,
-                                const std::vector<BigUInt>& scalars,
+                                const std::vector<MsmScalar>& scalars,
                                 const CancellationToken* cancel = nullptr,
                                 size_t window_override = 0) {
   using Point = EcPoint<Config>;
@@ -585,8 +469,8 @@ EcPoint<Config> MsmSignedAffine(const std::vector<AffinePoint<Config>>& bases,
 
   const size_t n = bases.size();
   size_t max_bits = 1;
-  for (const auto& s : scalars) {
-    max_bits = std::max(max_bits, s.BitLength());
+  for (const MsmScalar& k : scalars) {
+    max_bits = std::max(max_bits, msm_detail::ScalarBitLength(k));
   }
   const size_t c = window_override != 0
                        ? window_override
@@ -779,41 +663,106 @@ EcPoint<Config> MsmSignedAffine(const std::vector<AffinePoint<Config>>& bases,
   return result;
 }
 
-// Fast MSM over affine bases. For BN254 G1 each scalar is GLV-decomposed
-// (k == k1 + lambda*k2 mod r, |ki| < 2^130) and the instance is rewritten as
-// a 2n-point MSM over half-length scalars with sign folded into the bases
-// (valid for any scalar because G1 has cofactor 1, so kP == (k mod r)P).
-// Other curves (G2) run the signed-digit kernel directly.
+// Fast MSM over affine bases and fixed-width scalars (scalars[0..n), n ==
+// bases.size()). One serial pass in input order splits the instance:
+//   - zero scalars and infinity bases contribute nothing and drop out;
+//   - scalars of at most 64 bits (the ones of a witness included) run the
+//     kernel as one instance, whose window schedule their short length
+//     picks;
+//   - the full-width rest runs the kernel at full length, except on BN254
+//     G1, where each scalar is GLV-decomposed (k == k1 + lambda*k2 mod r,
+//     |ki| < 2^130) into a 2m-point instance over half-length scalars with
+//     the signs folded into the bases (valid for any scalar because G1 has
+//     cofactor 1, so kP == (k mod r)P).
+// The result is short part + full part, in that order.
+template <typename Config>
+EcPoint<Config> MsmAffine(const std::vector<AffinePoint<Config>>& bases,
+                          const MsmScalar* scalars, size_t n,
+                          const CancellationToken* cancel = nullptr) {
+  using Affine = AffinePoint<Config>;
+  NOPE_INVARIANT(bases.size() == n, "Msm: bases/scalars size mismatch");
+  std::vector<size_t> short_idx, full_idx;
+  for (size_t i = 0; i < n; ++i) {
+    if (bases[i].infinity) {
+      continue;
+    }
+    const MsmScalar& k = scalars[i];
+    if ((k[1] | k[2] | k[3]) != 0) {
+      full_idx.push_back(i);
+    } else if (k[0] != 0) {
+      short_idx.push_back(i);
+    }
+  }
+  auto gather = [&](const std::vector<size_t>& idx, std::vector<Affine>* b,
+                    std::vector<MsmScalar>* k) {
+    b->resize(idx.size());
+    k->resize(idx.size());
+    for (size_t j = 0; j < idx.size(); ++j) {
+      (*b)[j] = bases[idx[j]];
+      (*k)[j] = scalars[idx[j]];
+    }
+  };
+
+  EcPoint<Config> result = EcPoint<Config>::Infinity();
+  if (!short_idx.empty()) {
+    std::vector<Affine> b;
+    std::vector<MsmScalar> k;
+    gather(short_idx, &b, &k);
+    result = MsmSignedAffine(b, k, cancel);
+  }
+  if (full_idx.empty()) {
+    return result;
+  }
+  const size_t m = full_idx.size();
+  std::vector<Affine> b;
+  std::vector<MsmScalar> k;
+  if constexpr (GlvTraits<Config>::kEnabled) {
+    b.resize(2 * m);
+    k.resize(2 * m);
+    ThreadPool::Global().ParallelFor(
+        0, m, ThreadPool::ComputeMinChunk(m, 64),
+        [&](size_t lo, size_t hi) {
+          for (size_t j = lo; j < hi; ++j) {
+            const Affine& base = bases[full_idx[j]];
+            GlvDecomposition d = GlvDecompose(scalars[full_idx[j]]);
+            b[j] = d.k1_neg ? base.Negate() : base;
+            Affine endo = GlvEndomorphism(base);
+            b[m + j] = d.k2_neg ? endo.Negate() : endo;
+            k[j] = d.k1;
+            k[m + j] = d.k2;
+          }
+        },
+        cancel);
+  } else {
+    gather(full_idx, &b, &k);
+  }
+  return result.Add(MsmSignedAffine(b, k, cancel));
+}
+
+// Adapter for arbitrary-precision scalars (the verifier's public inputs,
+// tests, benchmarks): converts to limbs and runs the fixed-width MsmAffine.
+// On BN254 G1 (cofactor 1) scalars are reduced mod r first, so any size is
+// accepted; elsewhere a scalar must fit in 256 bits.
 template <typename Config>
 EcPoint<Config> MsmAffine(const std::vector<AffinePoint<Config>>& bases,
                           const std::vector<BigUInt>& scalars,
                           const CancellationToken* cancel = nullptr) {
   NOPE_INVARIANT(bases.size() == scalars.size(),
                  "Msm: bases/scalars size mismatch");
-  if (bases.empty()) {
-    return EcPoint<Config>::Infinity();
+  std::vector<MsmScalar> limbs(scalars.size(), MsmScalar{});
+  for (size_t i = 0; i < scalars.size(); ++i) {
+    const BigUInt* k = &scalars[i];
+    BigUInt reduced;
+    if constexpr (GlvTraits<Config>::kEnabled) {
+      if (*k >= Bn254Order()) {
+        reduced = *k % Bn254Order();
+        k = &reduced;
+      }
+    }
+    NOPE_INVARIANT(k->limbs().size() <= 4, "Msm: scalar wider than 256 bits");
+    std::copy(k->limbs().begin(), k->limbs().end(), limbs[i].begin());
   }
-  if constexpr (GlvTraits<Config>::kEnabled) {
-    const size_t n = bases.size();
-    std::vector<AffinePoint<Config>> eff(2 * n);
-    std::vector<BigUInt> ks(2 * n);
-    ThreadPool::Global().ParallelFor(
-        0, n, ThreadPool::ComputeMinChunk(n, 64),
-        [&](size_t lo, size_t hi) {
-          for (size_t i = lo; i < hi; ++i) {
-            GlvDecomposition d = GlvDecompose(scalars[i]);
-            eff[i] = d.k1_neg ? bases[i].Negate() : bases[i];
-            AffinePoint<Config> endo = GlvEndomorphism(bases[i]);
-            eff[n + i] = d.k2_neg ? endo.Negate() : endo;
-            ks[i] = std::move(d.k1);
-            ks[n + i] = std::move(d.k2);
-          }
-        },
-        cancel);
-    return MsmSignedAffine(eff, ks, cancel);
-  } else {
-    return MsmSignedAffine(bases, scalars, cancel);
-  }
+  return MsmAffine(bases, limbs.data(), limbs.size(), cancel);
 }
 
 // Convenience wrapper for Jacobian inputs: one batch conversion, then the

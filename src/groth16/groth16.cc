@@ -1,7 +1,6 @@
 #include "src/groth16/groth16.h"
 
 #include <algorithm>
-#include <array>
 #include <stdexcept>
 
 #include "src/base/threadpool.h"
@@ -213,26 +212,19 @@ G2 DecodeG2(const Bytes& bytes) {
 // output bytes.
 constexpr size_t kProveMinChunk = 256;
 
-// Montgomery -> standard-form conversion of a whole wire vector. The
-// conversion is one Montgomery multiply by 1 per element, so it batches
-// through the SIMD backend (Fr::ToStdLimbsBatch) in fixed-size blocks;
-// values are canonical either way, so output bytes cannot depend on the
-// backend or the partitioning.
-std::vector<BigUInt> ToScalars(const std::vector<Fr>& values, size_t begin, size_t end) {
-  constexpr size_t kBlock = 64;
-  std::vector<BigUInt> out(end - begin);
+// Montgomery -> standard-form limbs for the MSMs. The conversion is one
+// Montgomery multiply by 1 per element, so it batches through the SIMD
+// backend (Fr::ToStdLimbsBatch); values are canonical either way, so output
+// bytes cannot depend on the backend or the partitioning.
+std::vector<MsmScalar> ToStdLimbs(const std::vector<Fr>& values, size_t count,
+                                  const CancellationToken* cancel) {
+  std::vector<MsmScalar> out(count);
   ThreadPool::Global().ParallelFor(
-      0, end - begin, ThreadPool::ComputeMinChunk(end - begin, kProveMinChunk),
+      0, count, ThreadPool::ComputeMinChunk(count, kProveMinChunk),
       [&](size_t lo, size_t hi) {
-        std::array<uint64_t, 4> limbs[kBlock];
-        for (size_t i = lo; i < hi; i += kBlock) {
-          const size_t cnt = std::min(kBlock, hi - i);
-          Fr::ToStdLimbsBatch(&values[begin + i], limbs, cnt);
-          for (size_t j = 0; j < cnt; ++j) {
-            out[i + j] = BigUInt::FromLimbsLE(limbs[j].data(), 4);
-          }
-        }
-      });
+        Fr::ToStdLimbsBatch(&values[lo], &out[lo], hi - lo);
+      },
+      cancel);
   return out;
 }
 
@@ -455,16 +447,27 @@ ProveResult Prove(const ProvingKey& pk, const ConstraintSystem& cs, Rng* rng,
   if (cancel.cancelled()) {
     return ProveResult{ProveStatus::kCancelled, Proof{}};
   }
+  // The QAP rows and every MSM below are sized from the key, so a system
+  // and a key whose shapes disagree stop here, before any work. (Public
+  // inputs are wires, so wires - num_public cannot wrap.)
+  const size_t wires = cs.NumVariables();
+  const auto mismatch = [] {
+    return std::invalid_argument("Prove: constraint system does not match proving key");
+  };
+  if (wires != pk.a_query.size() || cs.NumPublic() != pk.num_public ||
+      cs.NumConstraints() != pk.num_constraints || pk.b_g1_query.size() != wires ||
+      pk.b_g2_query.size() != wires || pk.l_query.size() != wires - pk.num_public) {
+    throw mismatch();
+  }
+  EvaluationDomain domain(pk.num_constraints + pk.num_public);
+  size_t n = domain.size();
+  if (pk.h_query.size() != n - 1) {
+    throw mismatch();
+  }
   size_t bad = 0;
   if (!cs.IsSatisfied(&bad)) {
     throw std::invalid_argument("Prove: assignment violates constraint " + std::to_string(bad));
   }
-  if (cs.NumVariables() != pk.a_query.size() || cs.NumPublic() != pk.num_public) {
-    throw std::invalid_argument("Prove: constraint system does not match proving key");
-  }
-
-  EvaluationDomain domain(pk.num_constraints + pk.num_public);
-  size_t n = domain.size();
 
   std::vector<Fr> a_vals(n, Fr::Zero());
   std::vector<Fr> b_vals(n, Fr::Zero());
@@ -515,21 +518,8 @@ ProveResult Prove(const ProvingKey& pk, const ConstraintSystem& cs, Rng* rng,
   stage_done("h_poly");
 
   const std::vector<Fr>& values = cs.values();
-  std::vector<BigUInt> z_all = ToScalars(values, 0, values.size());
-  std::vector<BigUInt> z_wit = ToScalars(values, pk.num_public, values.size());
-  std::vector<BigUInt> h_scalars(n - 1);
-  pool.ParallelFor(0, n - 1, ThreadPool::ComputeMinChunk(n - 1, kProveMinChunk),
-                   [&](size_t lo, size_t hi) {
-    constexpr size_t kBlock = 64;
-    std::array<uint64_t, 4> limbs[kBlock];
-    for (size_t i = lo; i < hi; i += kBlock) {
-      const size_t cnt = std::min(kBlock, hi - i);
-      Fr::ToStdLimbsBatch(&h[i], limbs, cnt);
-      for (size_t j = 0; j < cnt; ++j) {
-        h_scalars[i + j] = BigUInt::FromLimbsLE(limbs[j].data(), 4);
-      }
-    }
-  }, &cancel);
+  std::vector<MsmScalar> z_all = ToStdLimbs(values, values.size(), &cancel);
+  std::vector<MsmScalar> h_scalars = ToStdLimbs(h, n - 1, &cancel);
   if (cancel.cancelled()) {
     return ProveResult{ProveStatus::kCancelled, Proof{}};
   }
@@ -540,18 +530,21 @@ ProveResult Prove(const ProvingKey& pk, const ConstraintSystem& cs, Rng* rng,
   Fr r = Fr::Random(rng);
   Fr s = Fr::Random(rng);
 
-  G1 a = pk.vk().alpha_g1.Add(MsmAffine(pk.a_query, z_all, &cancel))
+  // The shape checks above pin every table length to its scalar count; L
+  // takes the witness suffix of z_all.
+  const size_t num_wit = wires - pk.num_public;
+  G1 a = pk.vk().alpha_g1.Add(MsmAffine(pk.a_query, z_all.data(), wires, &cancel))
              .Add(pk.delta_g1.ScalarMul(r.ToBigUInt()));
-  G2 b = pk.vk().beta_g2.Add(MsmAffine(pk.b_g2_query, z_all, &cancel))
+  G2 b = pk.vk().beta_g2.Add(MsmAffine(pk.b_g2_query, z_all.data(), wires, &cancel))
              .Add(pk.vk().delta_g2.ScalarMul(s.ToBigUInt()));
-  G1 b_g1 = pk.beta_g1.Add(MsmAffine(pk.b_g1_query, z_all, &cancel))
+  G1 b_g1 = pk.beta_g1.Add(MsmAffine(pk.b_g1_query, z_all.data(), wires, &cancel))
                 .Add(pk.delta_g1.ScalarMul(s.ToBigUInt()));
   if (cancel.cancelled()) {
     return ProveResult{ProveStatus::kCancelled, Proof{}};
   }
 
-  G1 c = MsmAffine(pk.l_query, z_wit, &cancel)
-             .Add(MsmAffine(pk.h_query, h_scalars, &cancel))
+  G1 c = MsmAffine(pk.l_query, z_all.data() + pk.num_public, num_wit, &cancel)
+             .Add(MsmAffine(pk.h_query, h_scalars.data(), n - 1, &cancel))
              .Add(a.ScalarMul(s.ToBigUInt()))
              .Add(b_g1.ScalarMul(r.ToBigUInt()))
              .Add(pk.delta_g1.ScalarMul((r * s).ToBigUInt()).Negate());

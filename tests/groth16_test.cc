@@ -42,6 +42,56 @@ TEST(Groth16, UnsatisfiedWitnessThrows) {
   EXPECT_THROW(groth16::Prove(pk, cs, &rng), std::invalid_argument);
 }
 
+// A system with the key's wire and public-input counts but more
+// constraints than the key was set up for. Prove sizes its QAP rows from the
+// key, so without the constraint-count check it would write past them.
+TEST(Groth16, MoreConstraintsThanKeyThrows) {
+  auto squares = [](size_t constraints) {
+    ConstraintSystem cs;
+    Var x = cs.AddPublicInput(Fr::FromU64(3));
+    Var y = cs.AddWitness(Fr::FromU64(9));
+    for (size_t i = 0; i < constraints; ++i) {
+      cs.Enforce(LC(x), LC(x), LC(y));
+    }
+    return cs;
+  };
+  Rng rng(610);
+  auto pk = groth16::Setup(squares(2), &rng);
+  ConstraintSystem big = squares(5001);
+  ASSERT_TRUE(big.IsSatisfied());
+  ASSERT_EQ(big.NumVariables(), pk.a_query.size());
+  EXPECT_THROW(groth16::Prove(pk, big, &rng), std::invalid_argument);
+  EXPECT_THROW(groth16::Prove(pk, squares(1), &rng), std::invalid_argument);
+  // The matching system still proves.
+  EXPECT_TRUE(groth16::Verify(pk.vk(), {Fr::FromU64(3)},
+                              groth16::Prove(pk, squares(2), &rng)));
+}
+
+// Every query table must have the length its MSM's scalar count implies.
+TEST(Groth16, QueryTableOfWrongLengthThrows) {
+  ConstraintSystem cs = CubicCircuit(3, 35);
+  Rng rng(611);
+  const auto pk = groth16::Setup(cs, &rng);
+  auto shortened = [&](auto member) {
+    groth16::ProvingKey bad = pk;
+    (bad.*member).pop_back();
+    return bad;
+  };
+  EXPECT_THROW(groth16::Prove(shortened(&groth16::ProvingKey::a_query), cs, &rng),
+               std::invalid_argument);
+  EXPECT_THROW(groth16::Prove(shortened(&groth16::ProvingKey::b_g1_query), cs, &rng),
+               std::invalid_argument);
+  EXPECT_THROW(groth16::Prove(shortened(&groth16::ProvingKey::b_g2_query), cs, &rng),
+               std::invalid_argument);
+  EXPECT_THROW(groth16::Prove(shortened(&groth16::ProvingKey::l_query), cs, &rng),
+               std::invalid_argument);
+  EXPECT_THROW(groth16::Prove(shortened(&groth16::ProvingKey::h_query), cs, &rng),
+               std::invalid_argument);
+  groth16::ProvingKey longer = pk;
+  longer.h_query.push_back(longer.h_query.back());
+  EXPECT_THROW(groth16::Prove(longer, cs, &rng), std::invalid_argument);
+}
+
 TEST(Groth16, TamperedProofRejected) {
   ConstraintSystem cs = CubicCircuit(2, 15);  // 8 + 2 + 5
   Rng rng(603);

@@ -1,10 +1,12 @@
 // Differential and unit coverage for the signed-digit batch-affine MSM
 // kernel and its building blocks: AddMixed vs Add, BatchToAffine vs
-// per-point ToAffine (infinities at block boundaries), GLV decomposition
-// round-trip and endomorphism eigenvalue, signed-digit recoding exactness,
-// and the full kernel against naive double-and-add / the retained Jacobian
-// reference kernel under adversarial inputs (zero scalars, one, r-1,
-// duplicated scalars, duplicated bases, all-zero vectors).
+// per-point ToAffine (infinities at block boundaries), the limb GLV
+// decomposition's round trip and the endomorphism eigenvalue, limb
+// signed-digit recoding exactness, and the full kernel (density split
+// included) against a naive sum of double-and-adds under adversarial and
+// witness-shaped inputs (zero scalars, one, 2^64 - 1 and 2^64, r-1, scalars
+// >= r, duplicated scalars, duplicated bases, P/-P pairs, infinity bases,
+// all-zero, all-short and all-full vectors).
 #include "src/ec/msm.h"
 
 #include <gtest/gtest.h>
@@ -14,6 +16,7 @@
 #include "src/ec/batch_affine.h"
 #include "src/ec/bn254.h"
 #include "src/ec/glv.h"
+#include "tests/witness_mix.h"
 
 namespace nope {
 namespace {
@@ -27,6 +30,17 @@ Point NaiveMsm(const std::vector<Point>& bases,
   }
   return acc;
 }
+
+std::vector<MsmScalar> ToLimbs(const std::vector<BigUInt>& scalars) {
+  std::vector<MsmScalar> out(scalars.size(), MsmScalar{});
+  for (size_t i = 0; i < scalars.size(); ++i) {
+    const std::vector<uint64_t>& limbs = scalars[i].limbs();
+    std::copy(limbs.begin(), limbs.end(), out[i].begin());
+  }
+  return out;
+}
+
+BigUInt FromLimbs(const MsmScalar& k) { return BigUInt::FromLimbsLE(k.data(), 4); }
 
 std::vector<G1> RandomG1Bases(Rng* rng, size_t n) {
   std::vector<G1> out;
@@ -114,14 +128,35 @@ TEST(BatchToAffine, AllInfinitiesAndEmpty) {
 
 // --- Signed digits ----------------------------------------------------------
 
-TEST(SignedDigits, RecodingIsExactAndBounded) {
+// Every window width the kernel can pick, over scalars whose windows
+// straddle limb boundaries, live only in the top limb, or fill all 256 bits.
+TEST(SignedDigits, LimbRecodingIsExactAndBoundedForEveryWidth) {
   Rng rng(21);
-  for (size_t c : {size_t{2}, size_t{5}, size_t{10}, size_t{16}}) {
+  const uint64_t ones = ~uint64_t{0};
+  std::vector<MsmScalar> cases = {
+      {0, 0, 0, 0},          {1, 0, 0, 0},          {ones, 0, 0, 0},
+      {0, 1, 0, 0},          {ones, ones, 0, 0},    {0, 0, 1, 0},
+      {0, 0, 0, 1},          {0, 0, 0, ones},       {0, 0, 0, uint64_t{1} << 63},
+      {ones, ones, ones, ones},
+      {uint64_t{1} << 63, uint64_t{1} << 63, uint64_t{1} << 63, 0},
+  };
+  for (int i = 0; i < 40; ++i) {
+    MsmScalar k = {rng.NextU64(), rng.NextU64(), rng.NextU64(), rng.NextU64()};
+    if (i % 4 == 1) {
+      k = {0, 0, 0, rng.NextU64()};  // top limb only
+    } else if (i % 4 == 2) {
+      k = ToLimbs({BigUInt::RandomBelow(&rng, Bn254Order())})[0];
+    }
+    cases.push_back(k);
+  }
+  for (size_t c = 2; c <= 16; ++c) {
     const int64_t half = int64_t{1} << (c - 1);
-    for (int iter = 0; iter < 25; ++iter) {
-      BigUInt k = iter == 0 ? BigUInt() : BigUInt::RandomBelow(&rng, Bn254Order());
-      size_t max_bits = k.BitLength() > 0 ? k.BitLength() : 1;
-      size_t windows = (max_bits + c - 1) / c + 1;
+    for (const MsmScalar& k : cases) {
+      const BigUInt want = FromLimbs(k);
+      size_t max_bits = std::max<size_t>(want.BitLength(), 1);
+      // One window more than the kernel sizes: the extra one must read zero.
+      size_t windows = (max_bits + c - 1) / c + 2;
+      ASSERT_EQ(msm_detail::ScalarBitLength(k), want.BitLength());
       std::vector<int32_t> digits(windows);
       msm_detail::SignedDigits(k, c, windows, digits.data());
       // Reconstruct sum digit_w * 2^(c*w) as (pos, neg) magnitudes.
@@ -135,8 +170,9 @@ TEST(SignedDigits, RecodingIsExactAndBounded) {
           neg = neg + (BigUInt(static_cast<uint64_t>(-digits[w])) << (c * w));
         }
       }
+      EXPECT_EQ(digits[windows - 1], 0) << "c=" << c << " k=" << want.ToHex();
       ASSERT_TRUE(pos >= neg);
-      ASSERT_EQ(pos - neg, k) << "c=" << c << " iter=" << iter;
+      ASSERT_EQ(pos - neg, want) << "c=" << c << " k=" << want.ToHex();
     }
   }
 }
@@ -164,24 +200,39 @@ TEST(Glv, EndomorphismActsAsLambda) {
   EXPECT_TRUE(GlvEndomorphism(G1Affine::Infinity()).infinity);
 }
 
-TEST(Glv, DecompositionRoundTripsAndIsHalfSize) {
+// The limb decomposition against BigUInt arithmetic: k1 + lambda*k2 == k
+// (mod r) with |k1|, |k2| < 2^130, for inputs below r and up to 2^256 - 1.
+TEST(Glv, LimbDecompositionRoundTripsAndIsHalfSize) {
   const BigUInt& r = Bn254Order();
   const BigUInt& lambda = GlvLambda();
+  const BigUInt one(1);
+  const BigUInt two64 = one << 64;
+  const BigUInt two128 = one << 128;
+  std::vector<BigUInt> cases = {
+      BigUInt(),        one,           BigUInt(2),    lambda,
+      r - lambda,       r - one,       two64 - one,   two64,
+      two64 + one,      two128 - one,  two128,        two128 + one,
+      r,                r + BigUInt(5), r * BigUInt(3), (one << 256) - one,
+  };
   Rng rng(41);
-  std::vector<BigUInt> cases = {BigUInt(),     BigUInt(1), BigUInt(2),
-                                r - BigUInt(1), lambda,     r - lambda};
-  for (int i = 0; i < 50; ++i) {
-    cases.push_back(BigUInt::RandomBelow(&rng, r));
+  for (int i = 0; i < 10000; ++i) {
+    cases.push_back(i % 10 == 0 ? BigUInt::Random(&rng, 256)
+                                : BigUInt::RandomBelow(&rng, r));
   }
   for (const BigUInt& k : cases) {
-    GlvDecomposition d = GlvDecompose(k);
-    EXPECT_LE(d.k1.BitLength(), 129u) << "k=" << k.ToHex();
-    EXPECT_LE(d.k2.BitLength(), 129u) << "k=" << k.ToHex();
-    // k1 + lambda*k2 == k (mod r), signs folded in.
-    BigUInt acc = d.k1_neg ? r - (d.k1 % r) : d.k1 % r;
-    BigUInt lk2 = lambda.MulMod(d.k2, r);
+    GlvDecomposition d = GlvDecompose(ToLimbs({k})[0]);
+    const BigUInt k1 = FromLimbs(d.k1);
+    const BigUInt k2 = FromLimbs(d.k2);
+    // The invariant is |ki| < 2^130; the derived basis keeps them to 129 bits.
+    ASSERT_LE(k1.BitLength(), 129u) << "k=" << k.ToHex();
+    ASSERT_LE(k2.BitLength(), 129u) << "k=" << k.ToHex();
+    // Zero carries no sign.
+    ASSERT_FALSE(k1.IsZero() && d.k1_neg);
+    ASSERT_FALSE(k2.IsZero() && d.k2_neg);
+    BigUInt acc = d.k1_neg ? (r - k1) % r : k1;
+    BigUInt lk2 = lambda.MulMod(k2, r);
     acc = d.k2_neg ? acc.AddMod(r - lk2, r) : acc.AddMod(lk2, r);
-    EXPECT_EQ(acc, k % r) << "k=" << k.ToHex();
+    ASSERT_EQ(acc, k % r) << "k=" << k.ToHex();
   }
 }
 
@@ -231,11 +282,13 @@ TEST(MsmKernel, MatchesNaiveOnAdversarialInputs) {
     FillAdversarial(&rng, n, &bases, &scalars);
     G1 want = NaiveMsm(bases, scalars);
     EXPECT_TRUE(Msm(bases, scalars).Equals(want)) << "n=" << n;
-    EXPECT_TRUE(MsmJacobian(bases, scalars).Equals(want)) << "n=" << n;
+    const std::vector<MsmScalar> limbs = ToLimbs(scalars);
+    EXPECT_TRUE(MsmAffine(BatchToAffine(bases), limbs.data(), n).Equals(want))
+        << "n=" << n;
   }
 }
 
-TEST(MsmKernel, MatchesJacobianReferenceAt4096) {
+TEST(MsmKernel, MatchesNaiveAt4096) {
   Rng rng(61);
   const size_t n = 4096;
   std::vector<G1> bases = RandomG1Bases(&rng, n);
@@ -244,7 +297,7 @@ TEST(MsmKernel, MatchesJacobianReferenceAt4096) {
   for (size_t i = 0; i < n; ++i) {
     scalars.push_back(BigUInt::RandomBelow(&rng, Bn254Order()));
   }
-  EXPECT_TRUE(Msm(bases, scalars).Equals(MsmJacobian(bases, scalars)));
+  EXPECT_TRUE(Msm(bases, scalars).Equals(NaiveMsm(bases, scalars)));
 }
 
 TEST(MsmKernel, AllZeroScalarsAndAllInfinityBases) {
@@ -278,7 +331,7 @@ TEST(MsmKernel, G2MatchesNaive) {
   }
   G2 want = NaiveMsm(bases, scalars);
   EXPECT_TRUE(Msm(bases, scalars).Equals(want));
-  EXPECT_TRUE(MsmSignedAffine(BatchToAffine(bases), scalars).Equals(want));
+  EXPECT_TRUE(MsmSignedAffine(BatchToAffine(bases), ToLimbs(scalars)).Equals(want));
 }
 
 // Scalars above r: G1's GLV path reduces mod r (cofactor 1 makes that
@@ -311,7 +364,69 @@ TEST(MsmKernel, MsmAffineMatchesMsmOnJacobianInputs) {
   EXPECT_EQ(via_wrapper.x, via_affine.x);
   EXPECT_EQ(via_wrapper.y, via_affine.y);
   EXPECT_EQ(via_wrapper.z, via_affine.z);
-  EXPECT_TRUE(via_wrapper.Equals(MsmJacobian(bases, scalars)));
+  EXPECT_TRUE(via_wrapper.Equals(NaiveMsm(bases, scalars)));
+  // The BigUInt adapter is a conversion in front of the limb entry point.
+  const std::vector<MsmScalar> limbs = ToLimbs(scalars);
+  G1 via_limbs = MsmAffine(BatchToAffine(bases), limbs.data(), n);
+  EXPECT_EQ(via_limbs.x, via_affine.x);
+  EXPECT_EQ(via_limbs.y, via_affine.y);
+  EXPECT_EQ(via_limbs.z, via_affine.z);
+}
+
+// --- Density split -------------------------------------------------------------
+
+template <typename Point>
+void ExpectSplitMatchesNaive(const std::vector<Point>& bases,
+                             const std::vector<BigUInt>& scalars, const char* label) {
+  const std::vector<MsmScalar> limbs = ToLimbs(scalars);
+  Point got = MsmAffine(BatchToAffine(bases), limbs.data(), limbs.size());
+  EXPECT_TRUE(got.Equals(NaiveMsm(bases, scalars)))
+      << label << " n=" << bases.size();
+}
+
+TEST(MsmSplit, WitnessShapedG1MatchesNaive) {
+  for (size_t n : {size_t{1}, size_t{2}, size_t{63}, size_t{64}, size_t{65},
+                   size_t{513}, size_t{4097}}) {
+    std::vector<G1> bases;
+    std::vector<BigUInt> scalars;
+    WitnessMix(G1Generator(), n, 1000 + n, &bases, &scalars);
+    ExpectSplitMatchesNaive(bases, scalars, "witness");
+  }
+}
+
+TEST(MsmSplit, WitnessShapedG2MatchesNaive) {
+  for (size_t n : {size_t{1}, size_t{2}, size_t{63}, size_t{64}, size_t{65},
+                   size_t{513}}) {
+    std::vector<G2> bases;
+    std::vector<BigUInt> scalars;
+    WitnessMix(G2Generator(), n, 2000 + n, &bases, &scalars);
+    ExpectSplitMatchesNaive(bases, scalars, "witness");
+  }
+}
+
+// Vectors that leave parts of the split empty: nothing, only the short part,
+// only the full part.
+template <typename Point>
+void ExpectUniformVectorsMatchNaive(const Point& gen, size_t n, uint64_t seed) {
+  Rng rng(seed);
+  std::vector<Point> bases;
+  std::vector<BigUInt> ignored;
+  WitnessMix(gen, n, seed, &bases, &ignored);
+  std::vector<BigUInt> zeros(n), shorts(n), fulls(n);
+  for (size_t i = 0; i < n; ++i) {
+    shorts[i] = i == 1 ? BigUInt(~uint64_t{0}) : BigUInt(rng.NextU64());
+    fulls[i] = i == 1 ? BigUInt(1) << 64 : BigUInt::RandomBelow(&rng, Bn254Order());
+  }
+  ExpectSplitMatchesNaive(bases, zeros, "all-zero");
+  ExpectSplitMatchesNaive(bases, shorts, "all-short");
+  ExpectSplitMatchesNaive(bases, fulls, "all-full");
+  const std::vector<MsmScalar> zero_limbs = ToLimbs(zeros);
+  EXPECT_TRUE(MsmAffine(BatchToAffine(bases), zero_limbs.data(), n).IsInfinity());
+}
+
+TEST(MsmSplit, AllZeroAllShortAllFullMatchNaive) {
+  ExpectUniformVectorsMatchNaive(G1Generator(), 300, 3001);
+  ExpectUniformVectorsMatchNaive(G2Generator(), 65, 3002);
 }
 
 }  // namespace

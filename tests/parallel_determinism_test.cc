@@ -3,10 +3,10 @@
 // canonical (fully reduced Montgomery form), so any Fr mismatch or any
 // Jacobian-coordinate mismatch in an MSM result indicates the chunk grid or
 // merge order leaked the thread count. Sizes deliberately straddle the
-// serial/parallel cutoffs (msm_detail::kParallelCutoff for the Jacobian
-// reference kernel, the signed-affine kernel's fixed chunk grid of
-// max(512, 8 * 2^(c-1)) points, the ParallelFor min-chunk sizes, and
-// BatchInvert's 2*1024 block threshold).
+// signed-affine kernel's fixed chunk grid of max(512, 8 * 2^(c-1)) points,
+// the ParallelFor min-chunk sizes, and BatchInvert's 2*1024 block
+// threshold; witness-shaped inputs run every part of MsmAffine's density
+// split.
 #include <gtest/gtest.h>
 
 #include <functional>
@@ -18,6 +18,7 @@
 #include "src/ec/bn254.h"
 #include "src/ec/msm.h"
 #include "src/groth16/groth16.h"
+#include "tests/witness_mix.h"
 
 namespace nope {
 namespace {
@@ -55,9 +56,8 @@ class ParallelDeterminism : public ::testing::Test {
 
 TEST_F(ParallelDeterminism, MsmG1BitIdenticalAcrossThreadCounts) {
   Rng rng(4242);
-  // 255/256/257 straddle the reference kernel's kParallelCutoff; 1500 spans
-  // multiple chunks of both kernels' fixed grids (the GLV path doubles n,
-  // so 1500 becomes a 3000-point signed-affine instance).
+  // 1500 spans multiple chunks of the kernel's fixed grid (the GLV path
+  // doubles n, so 1500 becomes a 3000-point signed-affine instance).
   for (size_t n : {3u, 100u, 255u, 256u, 257u, 1500u}) {
     std::vector<G1> bases;
     std::vector<BigUInt> scalars;
@@ -139,14 +139,48 @@ TEST_F(ParallelDeterminism, MsmSignedAffineG2BitIdenticalAcrossThreadCounts) {
       scalars.push_back(BigUInt::RandomBelow(&rng, Bn254Order()));
     }
     std::vector<G2Affine> bases = BatchToAffine(jac);
+    std::vector<MsmScalar> limbs(n, MsmScalar{});
+    for (size_t i = 0; i < n; ++i) {
+      std::copy(scalars[i].limbs().begin(), scalars[i].limbs().end(), limbs[i].begin());
+    }
     ThreadPool::SetGlobalThreads(1);
-    G2 reference = MsmSignedAffine(bases, scalars);
+    G2 reference = MsmSignedAffine(bases, limbs);
     for (size_t t : ThreadCounts()) {
       ThreadPool::SetGlobalThreads(t);
-      EXPECT_TRUE(PointRepEq(reference, MsmSignedAffine(bases, scalars)))
+      EXPECT_TRUE(PointRepEq(reference, MsmSignedAffine(bases, limbs)))
           << "n=" << n << " threads=" << t;
     }
   }
+}
+
+// Witness-shaped inputs through MsmAffine's density split: the classify
+// pass, the short part, the GLV (G1) or full-length (G2) tail and the fixed
+// part order must all be thread-count independent. At n = 60000 the short
+// part (~18.6k scalars, c = 12) spans two 16384-point chunks.
+template <typename Point>
+void ExpectWitnessMixBitIdentical(const Point& gen, std::initializer_list<size_t> sizes,
+                                  uint64_t seed) {
+  for (size_t n : sizes) {
+    std::vector<Point> jac;
+    std::vector<BigUInt> scalars;
+    WitnessMix(gen, n, seed + n, &jac, &scalars);
+    const auto bases = BatchToAffine(jac);
+    ThreadPool::SetGlobalThreads(1);
+    Point reference = MsmAffine(bases, scalars);
+    for (size_t t : ThreadCounts()) {
+      ThreadPool::SetGlobalThreads(t);
+      EXPECT_TRUE(PointRepEq(reference, MsmAffine(bases, scalars)))
+          << "n=" << n << " threads=" << t;
+    }
+  }
+}
+
+TEST_F(ParallelDeterminism, WitnessShapedMsmG1BitIdenticalAcrossThreadCounts) {
+  ExpectWitnessMixBitIdentical(G1Generator(), {65, 513, 4097, 60000}, 60323);
+}
+
+TEST_F(ParallelDeterminism, WitnessShapedMsmG2BitIdenticalAcrossThreadCounts) {
+  ExpectWitnessMixBitIdentical(G2Generator(), {65, 513, 3000}, 60324);
 }
 
 // BatchToAffine's block grid (1024) is fixed, so conversion itself must be

@@ -402,6 +402,15 @@ uint64_t MatrixDigest(const ConstraintSystem& cs) {
   return h;
 }
 
+// FNV-1a over a byte string.
+uint64_t BytesDigest(const Bytes& bytes) {
+  uint64_t h = 0xcbf29ce484222325ull;
+  for (uint8_t b : bytes) {
+    h = (h ^ b) * 0x100000001b3ull;
+  }
+  return h;
+}
+
 TEST(OptimizerStatement, OptimizedFullStatementIsPinned) {
   // Deployed keys are set up for these exact matrices, so a change inside
   // the optimizer (its comparators, its hashing, its pass order) must not
@@ -446,6 +455,10 @@ TEST(OptimizerStatement, RotationMatchesPerRotationOptimize) {
     NopeProofBundle bundle =
         GenerateNopeProof(dep, &f.dns, f.domain, tls_key, "Example CA", now, &rng);
     EXPECT_EQ(bundle.proof.ToBytes(), oracle.ToBytes());
+    // The oracle runs the same Prove, so it cannot see a prover change that
+    // moves proof bytes; the digests pin them.
+    EXPECT_EQ(BytesDigest(bundle.proof.ToBytes()),
+              options.optimize_circuit ? 0x3375ce42cfef7969ull : 0xdd932a33aed39ff1ull);
     groth16::Proof decoded =
         groth16::Proof::FromBytes(DecodeProofFromSans(bundle.sans, f.domain).value());
     std::vector<Fr> pub = NopePublicInputs(dep.params, f.domain, TlsKeyDigest(tls_key),

@@ -1,15 +1,23 @@
 // Prints FNV-1a digests of (a) a seeded 512-point G1 MSM's affine result,
-// (b) a seeded Groth16 proof's 128-byte encoding and (c) a seeded chain of
-// FFTs. Not a gtest: ci.sh runs this binary under different NOPE_SIMD /
+// (b) a seeded Groth16 proof's 128-byte encoding, (c) a seeded chain of
+// FFTs and (d) seeded witness-shaped G1 and G2 MSMs (tests/witness_mix.h:
+// mostly zero and one scalars, so every part of MsmAffine's density split
+// runs). Not a gtest: ci.sh runs this binary under different NOPE_SIMD /
 // NOPE_THREADS environments and diffs the stdout, pinning the cross-process
 // determinism contract (proof and transform bytes bit-identical across SIMD
 // backends and thread counts). The env is read once per process, so the
-// comparison must span processes.
+// comparison must span processes. Every build and backend prints
+//   msm_digest=c31aa84fae27c583
+//   proof_digest=4de343c1606a9c77
+//   fft_digest=b8b5a41a944a3c13
+//   witness_msm_digest=422eb994f89fcbc6
 #include <cstdint>
 #include <cstdio>
 
+#include "src/ec/batch_affine.h"
 #include "src/ec/msm.h"
 #include "src/groth16/groth16.h"
+#include "tests/witness_mix.h"
 
 namespace nope {
 namespace {
@@ -38,6 +46,28 @@ uint64_t MsmDigest() {
   uint64_t h = Fnv1a(enc.data(), enc.size());
   h = Fnv1a(enc_y.data(), enc_y.size(), h);
   return h;
+}
+
+uint64_t FieldDigest(const Fq& v, uint64_t h) {
+  Bytes enc = v.ToBigUInt().ToBytes(32);
+  return Fnv1a(enc.data(), enc.size(), h);
+}
+uint64_t FieldDigest(const Fp2& v, uint64_t h) {
+  return FieldDigest(v.c1, FieldDigest(v.c0, h));
+}
+
+template <typename Point>
+uint64_t WitnessMsmDigest(const Point& gen, size_t n, uint64_t seed, uint64_t h) {
+  std::vector<Point> jac;
+  std::vector<BigUInt> scalars;
+  WitnessMix(gen, n, seed, &jac, &scalars);
+  auto res = MsmAffine(BatchToAffine(jac), scalars).ToAffine();
+  return FieldDigest(res.y, FieldDigest(res.x, h));
+}
+
+uint64_t WitnessMsmDigest() {
+  uint64_t h = WitnessMsmDigest(G1Generator(), 4097, 5150, 0xcbf29ce484222325ull);
+  return WitnessMsmDigest(G2Generator(), 513, 5151, h);
 }
 
 uint64_t ProofDigest() {
@@ -99,5 +129,7 @@ int main() {
               static_cast<unsigned long long>(nope::ProofDigest()));
   std::printf("fft_digest=%016llx\n",
               static_cast<unsigned long long>(nope::FftDigest()));
+  std::printf("witness_msm_digest=%016llx\n",
+              static_cast<unsigned long long>(nope::WitnessMsmDigest()));
   return 0;
 }
