@@ -72,9 +72,10 @@ inline const Fp2& Xi() {
 // Multiplication by xi, used in the Fp6/Fp12 reduction steps (twice per Fp6
 // multiply).
 inline Fp2 MulByXi(const Fp2& a) {
-  // (9 + u)(c0 + c1 u) = (9 c0 - c1) + (9 c1 + c0) u.
-  static const Fq nine = Fq::FromU64(9);
-  return {nine * a.c0 - a.c1, nine * a.c1 + a.c0};
+  // (9 + u)(c0 + c1 u) = (9 c0 - c1) + (9 c1 + c0) u, with 9c = 8c + c as
+  // three doublings and an add (cheaper than a Montgomery multiply).
+  auto times9 = [](const Fq& c) { return c.Double().Double().Double() + c; };
+  return {times9(a.c0) - a.c1, times9(a.c1) + a.c0};
 }
 
 }  // namespace nope

@@ -28,7 +28,7 @@ namespace fp_simd {
 // out[e] = a[e] * b[e] * 2^-256 mod p for e in [0, count), where each
 // element is 4 little-endian uint64 limbs, canonical (< p), and count is a
 // multiple of the backend's lane width. `p` points at the 4 modulus limbs
-// and `inv` is -p^{-1} mod 2^64 (FpParams::inv). Elementwise aliasing of
+// and `inv` is -p^{-1} mod 2^64 (Fp<Tag>::kInv). Elementwise aliasing of
 // out with a and/or b is allowed.
 using MontMulBatchFn = void (*)(const uint64_t* a, const uint64_t* b,
                                 uint64_t* out, size_t count,

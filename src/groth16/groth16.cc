@@ -134,14 +134,6 @@ Result<G1> TryDecodeG1(const Bytes& bytes, const char* what) {
   return G1::FromAffine(x, y);
 }
 
-G1 DecodeG1(const Bytes& bytes) {
-  Result<G1> p = TryDecodeG1(bytes, "G1");
-  if (!p.ok()) {
-    throw std::invalid_argument(p.error().ToString());
-  }
-  return p.value();
-}
-
 Bytes EncodeG2(const G2& p) {
   Bytes out(64, 0);
   auto aff = p.ToAffine();
@@ -195,14 +187,6 @@ Result<G2> TryDecodeG2(const Bytes& bytes, const char* what) {
     y = -y;
   }
   return G2::FromAffine(x, y);
-}
-
-G2 DecodeG2(const Bytes& bytes) {
-  Result<G2> p = TryDecodeG2(bytes, "G2");
-  if (!p.ok()) {
-    throw std::invalid_argument(p.error().ToString());
-  }
-  return p.value();
 }
 
 // --- Helpers ----------------------------------------------------------------

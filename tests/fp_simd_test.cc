@@ -29,7 +29,7 @@ TYPED_TEST_SUITE(FpSimdTest, FieldTypes);
 // the right sweep space.
 template <typename F>
 F RandomRaw(Rng* rng) {
-  const auto& p = F::params().modulus;
+  const auto& p = F::kModulus;
   const int shift = __builtin_clzll(p[3]);
   const uint64_t top_mask = ~0ull >> shift;
   while (true) {
@@ -53,7 +53,7 @@ F RandomRaw(Rng* rng) {
 // checkerboard limb patterns, and the Montgomery images of tiny integers.
 template <typename F>
 std::vector<F> EdgeValues() {
-  const auto& p = F::params().modulus;
+  const auto& p = F::kModulus;
   auto sub_small = [&](uint64_t k) {  // p - k as raw limbs (k >= 1)
     std::array<uint64_t, 4> out = p;
     uint64_t borrow = k;
@@ -295,7 +295,7 @@ TEST(FpSimdInvariants, ToLimbsRejectsWideValues) {
 }
 
 TEST(FpSimdInvariants, FromMontLimbsRejectsNonCanonical) {
-  EXPECT_DEATH(Fr::FromMontLimbs(Fr::params().modulus), "canonical");
+  EXPECT_DEATH(Fr::FromMontLimbs(Fr::kModulus), "canonical");
 }
 
 }  // namespace
