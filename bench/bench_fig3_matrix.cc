@@ -2,6 +2,7 @@
 // impersonation, time to detect, and revocability.
 #include <cstdio>
 
+#include "bench/bench_util.h"
 #include "src/core/analysis.h"
 
 int main() {
@@ -26,9 +27,8 @@ int main() {
 
   // Machine-readable records for BENCH_results.json: the security matrix is
   // a correctness artifact, so the counts double as a regression tripwire.
-  printf("{\"bench\": \"fig3_matrix\", \"metric\": \"subsets_defeating_dv\", "
-         "\"value\": %d}\n", dv_falls);
-  printf("{\"bench\": \"fig3_matrix\", \"metric\": \"subsets_defeating_nope\", "
-         "\"value\": %d}\n", nope_falls);
+  const nope::bench::Emitter emit("fig3_matrix");
+  emit("subsets_defeating_dv", dv_falls);
+  emit("subsets_defeating_nope", nope_falls);
   return 0;
 }

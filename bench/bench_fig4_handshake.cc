@@ -6,68 +6,20 @@
 // native pairing support; we report a modeled value using the paper's own
 // ~23x native-to-Wasm factor for the NOPE/NOPE cell (§8.5) and the measured
 // near-parity for the other cells.
-#include <algorithm>
-#include <chrono>
-#include <cmath>
 #include <cstdio>
-#include <functional>
 
-#include "src/core/nope.h"
+#include "bench/bench_util.h"
 
 using namespace nope;
-
-namespace {
-
-struct Stats {
-  double mean_ms;
-  double stdev_ms;
-};
-
-Stats Measure(const std::function<void()>& fn, int reps) {
-  std::vector<double> samples;
-  samples.reserve(reps);
-  for (int i = 0; i < reps; ++i) {
-    auto t0 = std::chrono::steady_clock::now();
-    fn();
-    samples.push_back(
-        std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - t0)
-            .count());
-  }
-  std::sort(samples.begin(), samples.end());
-  size_t trim = samples.size() / 100;  // drop the top 1% (paper methodology)
-  samples.resize(samples.size() - trim);
-  double sum = 0;
-  for (double s : samples) {
-    sum += s;
-  }
-  double mean = sum / samples.size();
-  double var = 0;
-  for (double s : samples) {
-    var += (s - mean) * (s - mean);
-  }
-  return {mean, std::sqrt(var / samples.size())};
-}
-
-}  // namespace
+using bench::Samples;
 
 int main() {
-  constexpr uint64_t kNow = 1750000000;
-  Rng rng(8001);
-  CtLog log1(1, &rng), log2(2, &rng);
-  CertificateAuthority ca("lets-encrypt-sim", {&log1, &log2}, &rng);
-  DnssecHierarchy dns(CryptoSuite::Toy(), 8002);
-  dns.AddZone(DnsName::FromString("org"));
-  DnsName domain = DnsName::FromString("nope-tools.org");
-  dns.AddZone(domain);
-  EcdsaKeyPair tls_key = GenerateEcdsaKey(&rng);
-  TrustStore trust{ca.root_public_key(), 2};
-
-  fprintf(stderr, "[setup] trusted setup + proof generation (demo profile)...\n");
-  NopeDeployment deployment = NopeTrustedSetup(&dns, domain, StatementOptions::Full(), &rng);
-  auto nope_issued = IssueCertificate(&deployment, &dns, &ca, domain, tls_key.pub.Encode(),
-                                      kNow, &rng, /*with_nope=*/true);
-  auto legacy_issued = IssueCertificate(nullptr, &dns, &ca, domain, tls_key.pub.Encode(), kNow,
-                                        &rng, /*with_nope=*/false);
+  bench::IssuanceWorld world(8001, 8002);
+  const DnsName& domain = world.domain;
+  const uint64_t kVerifyAt = bench::IssuanceWorld::kNow + 60;
+  TrustStore trust{world.ca.root_public_key(), 2};
+  auto nope_issued = world.Issue(/*with_nope=*/true);
+  auto legacy_issued = world.Issue(/*with_nope=*/false);
   if (!nope_issued || !legacy_issued) {
     fprintf(stderr, "issuance failed\n");
     return 1;
@@ -75,11 +27,9 @@ int main() {
 
   // DCE at real scale for the bandwidth row; verification over the toy suite
   // (same code path, smaller keys) plus a real-suite run for timing.
-  DnssecHierarchy real_dns(CryptoSuite::Real(), 8003);
-  real_dns.AddZone(DnsName::FromString("org"));
-  real_dns.AddZone(domain);
-  DceBundle dce = BuildDceBundle(&real_dns, domain, tls_key.pub.Encode());
-  DnskeyRdata real_anchor = real_dns.root().ZskRdata();
+  DnskeyRdata real_anchor;
+  DceBundle dce = world.RealDce(8003, &real_anchor);
+  Bytes tls_key = world.tls_key.pub.Encode();
 
   size_t legacy_bytes = legacy_issued->chain.TotalSize();
   size_t nope_bytes = nope_issued->chain.TotalSize();
@@ -88,37 +38,34 @@ int main() {
   const int kLightReps = 10000;
   const int kHeavyReps = 30;
 
-  Stats legacy_legacy = Measure(
-      [&] { LegacyVerifyChain(legacy_issued->chain, trust, domain, kNow + 60, nullptr); },
-      kLightReps);
+  auto stats = [](int reps, auto op) { return bench::SampleMs(reps, op).TrimmedMeanStdev(); };
+  Samples::MeanStdev legacy_legacy = stats(kLightReps, [&] {
+    LegacyVerifyChain(legacy_issued->chain, trust, domain, kVerifyAt, nullptr);
+  });
   // Legacy server / NOPE client: NOPE client scans SANs, finds none, falls
   // back to legacy-only.
-  Stats legacy_nope = Measure(
-      [&] {
-        NopeClientVerify(deployment, legacy_issued->chain, trust, domain, kNow + 60, nullptr);
-      },
-      kLightReps);
+  Samples::MeanStdev legacy_nope = stats(kLightReps, [&] {
+    NopeClientVerify(world.deployment, legacy_issued->chain, trust, domain, kVerifyAt, nullptr);
+  });
   // NOPE server / legacy client: ordinary chain validation.
-  Stats nope_legacy = Measure(
-      [&] { LegacyVerifyChain(nope_issued->chain, trust, domain, kNow + 60, nullptr); },
-      kLightReps);
+  Samples::MeanStdev nope_legacy = stats(kLightReps, [&] {
+    LegacyVerifyChain(nope_issued->chain, trust, domain, kVerifyAt, nullptr);
+  });
   // NOPE server / NOPE client: the full client path, which verifies the
   // proof against the deployment's prepared key.
-  Stats nope_nope = Measure(
-      [&] {
-        NopeClientVerify(deployment, nope_issued->chain, trust, domain, kNow + 60, nullptr);
-      },
-      kHeavyReps);
-  Stats dce_stats = Measure(
-      [&] { (void)DceVerify(CryptoSuite::Real(), dce, domain, tls_key.pub.Encode(), real_anchor); },
-      20);
+  Samples::MeanStdev nope_nope = stats(kHeavyReps, [&] {
+    NopeClientVerify(world.deployment, nope_issued->chain, trust, domain, kVerifyAt, nullptr);
+  });
+  Samples::MeanStdev dce_stats = stats(
+      20, [&] { (void)DceVerify(CryptoSuite::Real(), dce, domain, tls_key, real_anchor); });
 
   printf("=== Figure 4: client-side verification cost ===\n\n");
   printf("%-8s %-8s %10s %20s %22s\n", "Server", "Client", "Bandwidth", "time (native)",
          "time (JS, modeled)");
-  auto row = [](const char* s, const char* c, size_t bytes, Stats st, double js_factor) {
-    printf("%-8s %-8s %8zu B  %8.3f (+/- %.3f) ms %12.1f ms\n", s, c, bytes, st.mean_ms,
-           st.stdev_ms, st.mean_ms * js_factor);
+  auto row = [](const char* s, const char* c, size_t bytes, Samples::MeanStdev st,
+                double js_factor) {
+    printf("%-8s %-8s %8zu B  %8.3f (+/- %.3f) ms %12.1f ms\n", s, c, bytes, st.mean,
+           st.stdev, st.mean * js_factor);
   };
   row("Legacy", "Legacy", legacy_bytes, legacy_legacy, 1.0);
   row("Legacy", "NOPE", legacy_bytes, legacy_nope, 1.0);
@@ -136,14 +83,10 @@ int main() {
   printf("  * Legacy cells are unchanged whether or not the counterparty is\n"
          "    NOPE-aware (compatibility).\n");
 
-  // Machine-readable records for BENCH_results.json.
-  printf("{\"bench\": \"fig4_handshake\", \"metric\": \"nope_nope_verify_ms\", "
-         "\"value\": %.4f}\n", nope_nope.mean_ms);
-  printf("{\"bench\": \"fig4_handshake\", \"metric\": \"legacy_legacy_verify_ms\", "
-         "\"value\": %.4f}\n", legacy_legacy.mean_ms);
-  printf("{\"bench\": \"fig4_handshake\", \"metric\": \"nope_chain_bytes\", "
-         "\"value\": %zu}\n", nope_bytes);
-  printf("{\"bench\": \"fig4_handshake\", \"metric\": \"legacy_chain_bytes\", "
-         "\"value\": %zu}\n", legacy_bytes);
+  const bench::Emitter emit("fig4_handshake");
+  emit("nope_nope_verify_ms", nope_nope.mean);
+  emit("legacy_legacy_verify_ms", legacy_legacy.mean);
+  emit("nope_chain_bytes", nope_bytes);
+  emit("legacy_chain_bytes", legacy_bytes);
   return 0;
 }

@@ -5,39 +5,24 @@
 // (Certbot's 30 s propagation default, §8.2).
 #include <cstdio>
 
+#include "bench/bench_util.h"
 #include "src/base/threadpool.h"
-#include "src/core/nope.h"
 
 using namespace nope;
 
 int main() {
-  constexpr uint64_t kNow = 1750000000;
-  Rng rng(9001);
-  CtLog log1(1, &rng), log2(2, &rng);
-  CertificateAuthority ca("lets-encrypt-sim", {&log1, &log2}, &rng);
-  DnssecHierarchy dns(CryptoSuite::Toy(), 9002);
-  dns.AddZone(DnsName::FromString("org"));
-  DnsName domain = DnsName::FromString("nope-tools.org");
-  dns.AddZone(domain);
-  EcdsaKeyPair tls_key = GenerateEcdsaKey(&rng);
-
-  fprintf(stderr, "[setup] trusted setup (demo profile)...\n");
-  NopeDeployment deployment = NopeTrustedSetup(&dns, domain, StatementOptions::Full(), &rng);
+  bench::IssuanceWorld world(9001, 9002);
 
   // Proof generation threads=1 vs threads=N: same deployment, same proof
   // bytes (see parallel_determinism_test), different wall clock.
   ThreadPool::SetGlobalThreads(1);
-  auto with_nope_t1 = IssueCertificate(&deployment, &dns, &ca, domain, tls_key.pub.Encode(),
-                                       kNow, &rng, /*with_nope=*/true);
+  auto with_nope_t1 = world.Issue(/*with_nope=*/true);
   ThreadPool::SetGlobalThreads(0);
-  auto with_nope = IssueCertificate(&deployment, &dns, &ca, domain, tls_key.pub.Encode(), kNow,
-                                    &rng, /*with_nope=*/true);
-  auto plain = IssueCertificate(nullptr, &dns, &ca, domain, tls_key.pub.Encode(), kNow, &rng,
-                                /*with_nope=*/false);
+  auto with_nope = world.Issue(/*with_nope=*/true);
+  auto plain = world.Issue(/*with_nope=*/false);
   // Fault-injected variant: the CA's first TXT poll races ahead of challenge
-  // propagation, costing one extra 30 s propagation round (ISSUE 3).
-  auto with_retry = IssueCertificate(&deployment, &dns, &ca, domain, tls_key.pub.Encode(), kNow,
-                                     &rng, /*with_nope=*/true, /*injected_dns_retries=*/1);
+  // propagation, costing one extra 30 s propagation round.
+  auto with_retry = world.Issue(/*with_nope=*/true, /*dns_retries=*/1);
   if (!with_nope_t1 || !with_nope || !plain || !with_retry) {
     fprintf(stderr, "issuance failed\n");
     return 1;
@@ -93,19 +78,15 @@ int main() {
          with_nope_t1->timeline.proof_generation_s, t.proof_generation_s,
          threads, with_nope_t1->timeline.proof_generation_s / t.proof_generation_s);
 
-  // One-line JSON records collected by run_benches.sh into BENCH_results.json.
-  auto emit = [](const char* metric, double value) {
-    printf("{\"bench\": \"fig5_issuance\", \"metric\": \"%s\", \"value\": %.4f}\n",
-           metric, value);
-  };
+  const bench::Emitter emit("fig5_issuance");
   emit("proof_generation_s_threads1", with_nope_t1->timeline.proof_generation_s);
   emit("proof_generation_s_threadsN", t.proof_generation_s);
   emit("proof_speedup", with_nope_t1->timeline.proof_generation_s / t.proof_generation_s);
-  emit("threads_n", static_cast<double>(threads));
+  emit("threads_n", threads);
   emit("nope_total_s", t.total());
   emit("plain_total_s", p.total());
   emit("nope_total_with_dns_retry_s", r.total());
-  emit("dns_retry_rounds", static_cast<double>(r.dns_retries));
+  emit("dns_retry_rounds", r.dns_retries);
   emit("dns_propagation_with_retry_s", r.dns_propagation_s);
   return 0;
 }

@@ -7,22 +7,16 @@
 // time and memory at those sizes are estimates from a cost model fitted to
 // real Groth16 runs at smaller sizes (the paper's italicized values are the
 // same kind of estimate).
-#include <chrono>
-#include <cstdio>
 #include <cmath>
+#include <cstdio>
 #include <cstring>
 #include <fstream>
 
-#include "src/core/nope.h"
+#include "bench/bench_util.h"
 
 using namespace nope;
 
 namespace {
-
-double NowSeconds() {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
 
 size_t PeakRssKb() {
   std::ifstream status("/proc/self/status");
@@ -33,23 +27,6 @@ size_t PeakRssKb() {
     }
   }
   return 0;
-}
-
-// Synthetic multiplication-chain circuit of ~n constraints for model fitting.
-ConstraintSystem SyntheticCircuit(size_t n) {
-  ConstraintSystem cs;
-  Var pub = cs.AddPublicInput(Fr::FromU64(2));
-  Fr acc_val = Fr::FromU64(2);
-  Var acc = cs.AddWitness(acc_val);
-  cs.EnforceEqual(LC(acc), LC(pub));
-  for (size_t i = 1; i < n; ++i) {
-    Fr next_val = acc_val * acc_val;
-    Var next = cs.AddWitness(next_val);
-    cs.Enforce(LC(acc), LC(acc), LC(next));
-    acc = next;
-    acc_val = next_val;
-  }
-  return cs;
 }
 
 struct ModelPoint {
@@ -69,15 +46,12 @@ int main(int argc, char** argv) {
   std::vector<ModelPoint> points;
   Rng rng(6001);
   for (size_t n : {size_t{4096}, size_t{16384}, size_t{49152}}) {
-    ConstraintSystem cs = SyntheticCircuit(n);
-    double t0 = NowSeconds();
-    auto pk = groth16::Setup(cs, &rng);
-    double t1 = NowSeconds();
-    auto proof = groth16::Prove(pk, cs, &rng);
-    double t2 = NowSeconds();
-    (void)proof;
-    points.push_back({n, t2 - t1, PeakRssKb()});
-    fprintf(stderr, "[model] m=%zu setup=%.2fs prove=%.2fs rss=%zuMB\n", n, t1 - t0, t2 - t1,
+    ConstraintSystem cs = bench::SyntheticCircuit(n);
+    groth16::ProvingKey pk;
+    double setup_s = bench::TimeMs([&] { pk = groth16::Setup(cs, &rng); }) / 1000.0;
+    double prove_s = bench::TimeMs([&] { bench::Keep(groth16::Prove(pk, cs, &rng)); }) / 1000.0;
+    points.push_back({n, prove_s, PeakRssKb()});
+    fprintf(stderr, "[model] m=%zu setup=%.2fs prove=%.2fs rss=%zuMB\n", n, setup_s, prove_s,
             points.back().rss_kb / 1024);
   }
   // time ~= c_t * m * log2(m); memory ~= c_m * m (+ base).
@@ -143,10 +117,10 @@ int main(int argc, char** argv) {
     size_t m_baseline = 0;
     size_t m_final = 0;
     for (const Row& row : rows) {
-      double t0 = NowSeconds();
+      bench::Timer timer;
       size_t m = count_for(CryptoSuite::Real(), row.options);
       fprintf(stderr, "[paper-scale] %-18s m=%zu (built in %.1fs)\n", row.label, m,
-              NowSeconds() - t0);
+              timer.Seconds());
       printf("  %-18s %12zu %8.1f s %7.2f GB\n", row.label, m, est_time(m), est_mem_gb(m));
       if (m_baseline == 0) {
         m_baseline = m;
@@ -162,11 +136,10 @@ int main(int argc, char** argv) {
   printf("\nPaper reference (Fig. 6): Baseline 10.15M/486s/17.8GB -> +design 5.33M\n");
   printf("-> +parsing 3.60M -> +crypto 1.19M -> +misc 1.13M/54s/1.99GB.\n");
 
-  // Machine-readable records for BENCH_results.json: constraint counts for
-  // the toy suite's ablation endpoints (cheap to compute in --quick runs).
-  printf("{\"bench\": \"fig6_ablation\", \"metric\": \"toy_m_baseline\", "
-         "\"value\": %zu}\n", count_for(CryptoSuite::Toy(), rows.front().options));
-  printf("{\"bench\": \"fig6_ablation\", \"metric\": \"toy_m_final\", "
-         "\"value\": %zu}\n", count_for(CryptoSuite::Toy(), rows.back().options));
+  // Constraint counts for the toy suite's ablation endpoints (cheap to
+  // compute in --quick runs).
+  const bench::Emitter emit("fig6_ablation");
+  emit("toy_m_baseline", count_for(CryptoSuite::Toy(), rows.front().options));
+  emit("toy_m_final", count_for(CryptoSuite::Toy(), rows.back().options));
   return 0;
 }

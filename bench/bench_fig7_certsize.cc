@@ -2,26 +2,14 @@
 // and SAN-encoded proof sizes, and the DCE chain size for comparison.
 #include <cstdio>
 
-#include "src/core/nope.h"
+#include "bench/bench_util.h"
 
 using namespace nope;
 
 int main() {
-  Rng rng(7001);
-  CtLog log1(1, &rng), log2(2, &rng);
-  CertificateAuthority ca("lets-encrypt-sim", {&log1, &log2}, &rng);
-
   // Toy-suite pipeline issues a real proof-bearing certificate.
-  DnssecHierarchy dns(CryptoSuite::Toy(), 7002);
-  dns.AddZone(DnsName::FromString("org"));
-  DnsName domain = DnsName::FromString("nope-tools.org");
-  dns.AddZone(domain);
-  EcdsaKeyPair tls_key = GenerateEcdsaKey(&rng);
-
-  fprintf(stderr, "[setup] one-time Groth16 trusted setup (demo profile)...\n");
-  NopeDeployment deployment = NopeTrustedSetup(&dns, domain, StatementOptions::Full(), &rng);
-  auto issued = IssueCertificate(&deployment, &dns, &ca, domain, tls_key.pub.Encode(),
-                                 1750000000, &rng, /*with_nope=*/true);
+  bench::IssuanceWorld world(7001, 7002);
+  auto issued = world.Issue(/*with_nope=*/true);
   if (!issued.has_value()) {
     fprintf(stderr, "issuance failed\n");
     return 1;
@@ -35,14 +23,10 @@ int main() {
 
   // DCE comparison at REAL scale (P-256 + RSA-2048 root), as shipped per
   // RFC 9102.
-  DnssecHierarchy real_dns(CryptoSuite::Real(), 7003);
-  real_dns.AddZone(DnsName::FromString("org"));
-  real_dns.AddZone(domain);
-  DceBundle dce = BuildDceBundle(&real_dns, domain, tls_key.pub.Encode());
-  size_t dce_size = dce.Serialize().size();
+  size_t dce_size = world.RealDce(7003).Serialize().size();
 
   printf("=== Figure 7: certificate chain decomposition (NOPE cert for %s) ===\n\n",
-         domain.ToString().c_str());
+         world.domain.ToString().c_str());
   auto row = [&](const char* name, size_t bytes) {
     printf("  %-28s %6zu B   %5.1f%%\n", name, bytes, 100.0 * bytes / chain_total);
   };
@@ -66,12 +50,9 @@ int main() {
          100.0 * leaf_sizes["nope_proof_encoded"] / chain_total,
          static_cast<double>(dce_size) / chain_total);
 
-  // Machine-readable records for BENCH_results.json.
-  printf("{\"bench\": \"fig7_certsize\", \"metric\": \"chain_total_bytes\", "
-         "\"value\": %zu}\n", chain_total);
-  printf("{\"bench\": \"fig7_certsize\", \"metric\": \"nope_proof_encoded_bytes\", "
-         "\"value\": %zu}\n", leaf_sizes["nope_proof_encoded"]);
-  printf("{\"bench\": \"fig7_certsize\", \"metric\": \"dce_chain_bytes\", "
-         "\"value\": %zu}\n", dce_size);
+  const bench::Emitter emit("fig7_certsize");
+  emit("chain_total_bytes", chain_total);
+  emit("nope_proof_encoded_bytes", leaf_sizes["nope_proof_encoded"]);
+  emit("dce_chain_bytes", dce_size);
   return 0;
 }

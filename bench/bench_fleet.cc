@@ -1,4 +1,4 @@
-// Fleet-scale renewal sweep (ISSUE 8): the capacity-planning numbers for one
+// Fleet-scale renewal sweep: the capacity-planning numbers for one
 // operator proving for an entire fleet. Two parts:
 //
 //   1. Headline: 10^6 domains (override with --domains=N), 30 simulated
@@ -9,15 +9,12 @@
 //      burst intensity {off, light, heavy} at 10^5 domains, reporting
 //      issuance mix, shed/degrade counts, and expiry misses per cell — the
 //      EXPERIMENTS.md capacity-planning table.
-//
-// Every line prefixed {"bench": ...} is collected into BENCH_results.json by
-// run_benches.sh.
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <string>
 
+#include "bench/bench_util.h"
 #include "src/fleet/fleet_sim.h"
 
 using namespace nope;
@@ -30,11 +27,6 @@ struct Cell {
   double brownout;
 };
 
-void Emit(const std::string& metric, double value) {
-  printf("{\"bench\": \"fleet\", \"metric\": \"%s\", \"value\": %.4f}\n",
-         metric.c_str(), value);
-}
-
 FleetReport RunOnce(size_t domains, double load, const Cell& cell,
                     double* wall_s) {
   FleetConfig config;
@@ -43,10 +35,9 @@ FleetReport RunOnce(size_t domains, double load, const Cell& cell,
   config.seed = 42;
   config.bursts.bursts_per_day = cell.bursts_per_day;
   config.bursts.brownout_cost_multiplier = cell.brownout;
-  auto t0 = std::chrono::steady_clock::now();
+  bench::Timer timer;
   FleetReport report = FleetSimulator(config).Run();
-  auto t1 = std::chrono::steady_clock::now();
-  *wall_s = std::chrono::duration<double>(t1 - t0).count();
+  *wall_s = timer.Seconds();
   return report;
 }
 
@@ -71,12 +62,13 @@ int main(int argc, char** argv) {
   printf("wall %.2fs for %.0f simulated days (%.0fx speedup), digest %llu\n\n",
          wall_s, sim_days, sim_days * 86400.0 / wall_s,
          static_cast<unsigned long long>(headline.event_digest));
-  Emit("headline_domains", static_cast<double>(headline_domains));
-  Emit("headline_wall_s", wall_s);
-  Emit("headline_sim_speedup", sim_days * 86400.0 / wall_s);
-  Emit("headline_nope_issued", static_cast<double>(headline.stats.nope_issued));
-  Emit("headline_cert_misses", static_cast<double>(headline.stats.cert_misses));
-  Emit("headline_events", static_cast<double>(headline.event_count));
+  const bench::Emitter emit("fleet");
+  emit("headline_domains", headline_domains);
+  emit("headline_wall_s", wall_s);
+  emit("headline_sim_speedup", sim_days * 86400.0 / wall_s);
+  emit("headline_nope_issued", headline.stats.nope_issued);
+  emit("headline_cert_misses", headline.stats.cert_misses);
+  emit("headline_events", headline.event_count);
 
   const Cell cells[] = {{"off", 0.0, 1.0}, kLight, {"heavy", 2.0, 4.0}};
   const double loads[] = {0.5, 1.0, 2.0, 4.0};
@@ -98,11 +90,11 @@ int main(int argc, char** argv) {
              static_cast<unsigned long long>(r.stats.submit_rejected_queue_full));
       std::string tag = "load" + std::to_string(static_cast<int>(load * 100)) +
                         "_" + cell.burst_tag;
-      Emit("nope_issued_" + tag, static_cast<double>(r.stats.nope_issued));
-      Emit("legacy_issued_" + tag, static_cast<double>(r.stats.legacy_issued));
-      Emit("jobs_shed_" + tag, static_cast<double>(r.stats.jobs_shed));
-      Emit("degradations_" + tag, static_cast<double>(r.stats.degradations));
-      Emit("cert_misses_" + tag, static_cast<double>(r.stats.cert_misses));
+      emit("nope_issued_" + tag, r.stats.nope_issued);
+      emit("legacy_issued_" + tag, r.stats.legacy_issued);
+      emit("jobs_shed_" + tag, r.stats.jobs_shed);
+      emit("degradations_" + tag, r.stats.degradations);
+      emit("cert_misses_" + tag, r.stats.cert_misses);
     }
   }
   return 0;

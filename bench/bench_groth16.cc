@@ -1,20 +1,17 @@
-// Google-benchmark microbenches for the Groth16 back-end (§2.3): setup,
-// prove, and verify across circuit sizes, plus proof (de)serialization and
-// the underlying pairing. Verifies the paper's structural claims: proof size
-// and verification time are independent of statement size; proving scales
-// ~m log m.
-#include <benchmark/benchmark.h>
-
-#include <algorithm>
+// Groth16 back-end benches (§2.3): prove and verify across circuit sizes,
+// the pairing under verification, proof encoding, and the cost of proving,
+// MSM and FFT across thread counts. Checks the paper's structural claims:
+// proof size and verification time are independent of statement size;
+// proving scales ~m log m.
+//
+// NOPE_MSM_AUTOTUNE=1 runs the offline window-width sweep instead.
 #include <array>
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <functional>
-#include <map>
-#include <memory>
+#include <string>
 #include <vector>
 
+#include "bench/bench_util.h"
 #include "src/base/threadpool.h"
 #include "src/ec/msm.h"
 #include "src/groth16/domain.h"
@@ -23,21 +20,12 @@
 namespace nope {
 namespace {
 
-ConstraintSystem SyntheticCircuit(size_t n) {
-  ConstraintSystem cs;
-  Var pub = cs.AddPublicInput(Fr::FromU64(2));
-  Fr acc_val = Fr::FromU64(2);
-  Var acc = cs.AddWitness(acc_val);
-  cs.EnforceEqual(LC(acc), LC(pub));
-  for (size_t i = 1; i < n; ++i) {
-    Fr next_val = acc_val * acc_val;
-    Var next = cs.AddWitness(next_val);
-    cs.Enforce(LC(acc), LC(acc), LC(next));
-    acc = next;
-    acc_val = next_val;
-  }
-  return cs;
-}
+using bench::Keep;
+using bench::SampleMs;
+using bench::Samples;
+using bench::TimeMs;
+
+const bench::Emitter emit("groth16");
 
 struct Fixture {
   ConstraintSystem cs;
@@ -45,7 +33,7 @@ struct Fixture {
   groth16::Proof proof;
   std::vector<Fr> pub;
 
-  explicit Fixture(size_t n) : cs(SyntheticCircuit(n)) {
+  explicit Fixture(size_t n) : cs(bench::SyntheticCircuit(n)) {
     Rng rng(42);
     pk = groth16::Setup(cs, &rng);
     proof = groth16::Prove(pk, cs, &rng);
@@ -53,119 +41,41 @@ struct Fixture {
   }
 };
 
-Fixture& CachedFixture(size_t n) {
-  static std::map<size_t, std::unique_ptr<Fixture>>* cache =
-      new std::map<size_t, std::unique_ptr<Fixture>>();
-  auto it = cache->find(n);
-  if (it == cache->end()) {
-    it = cache->emplace(n, std::make_unique<Fixture>(n)).first;
+// Prove time per circuit size m (metrics suffixed _m<m>), verify time at the
+// smallest and largest m, and the pairing and proof encoding under them.
+void EmitSizeSweep(const Fixture& small, const Fixture& mid, const Fixture& large) {
+  constexpr int kProveReps = 5;
+  constexpr int kVerifyReps = 50;
+  constexpr int kCodecReps = 1000;
+  for (const Fixture* f : {&small, &mid, &large}) {
+    Rng rng(7);
+    emit("prove_ms_m" + std::to_string(f->cs.NumConstraints()),
+         SampleMs(kProveReps, [&] { Keep(groth16::Prove(f->pk, f->cs, &rng)); }).Median());
   }
-  return *it->second;
-}
-
-void BM_Groth16Prove(benchmark::State& state) {
-  Fixture& f = CachedFixture(static_cast<size_t>(state.range(0)));
-  Rng rng(7);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(groth16::Prove(f.pk, f.cs, &rng));
+  for (const Fixture* f : {&small, &large}) {
+    emit("verify_ms_m" + std::to_string(f->cs.NumConstraints()),
+         SampleMs(kVerifyReps, [&] { Keep(groth16::Verify(f->pk.vk(), f->pub, f->proof)); })
+             .Median());
   }
-  state.SetComplexityN(state.range(0));
-}
-BENCHMARK(BM_Groth16Prove)->Arg(1 << 10)->Arg(1 << 12)->Arg(1 << 14)->Complexity()
-    ->Unit(benchmark::kMillisecond);
 
-// Same prover across pool sizes; range(1) is the lane count (0 = default).
-// The determinism tests assert identical output bytes; this measures cost.
-void BM_Groth16ProveThreads(benchmark::State& state) {
-  Fixture& f = CachedFixture(static_cast<size_t>(state.range(0)));
-  ThreadPool::SetGlobalThreads(static_cast<size_t>(state.range(1)));
-  Rng rng(7);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(groth16::Prove(f.pk, f.cs, &rng));
-  }
-  ThreadPool::SetGlobalThreads(0);
-}
-BENCHMARK(BM_Groth16ProveThreads)
-    ->Args({1 << 12, 1})
-    ->Args({1 << 12, 2})
-    ->Args({1 << 12, 4})
-    ->Args({1 << 12, 0})
-    ->Unit(benchmark::kMillisecond);
-
-void BM_Groth16Verify(benchmark::State& state) {
-  // Verification time must be independent of circuit size (§2.3).
-  Fixture& f = CachedFixture(static_cast<size_t>(state.range(0)));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(groth16::Verify(f.pk.vk(), f.pub, f.proof));
-  }
-}
-BENCHMARK(BM_Groth16Verify)->Arg(1 << 10)->Arg(1 << 14)->Unit(benchmark::kMillisecond);
-
-void BM_ProofSerialize(benchmark::State& state) {
-  Fixture& f = CachedFixture(1 << 10);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(f.proof.ToBytes());  // always exactly 128 bytes
-  }
-}
-BENCHMARK(BM_ProofSerialize);
-
-void BM_ProofDeserialize(benchmark::State& state) {
-  Fixture& f = CachedFixture(1 << 10);
-  Bytes encoded = f.proof.ToBytes();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(groth16::Proof::FromBytes(encoded));
-  }
-}
-BENCHMARK(BM_ProofDeserialize)->Unit(benchmark::kMicrosecond);
-
-void BM_Pairing(benchmark::State& state) {
   G1 p = G1Generator().ScalarMul(BigUInt(12345));
   G2 q = G2Generator().ScalarMul(BigUInt(67890));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(Pairing(p, q));
-  }
-}
-BENCHMARK(BM_Pairing)->Unit(benchmark::kMillisecond);
+  emit("pairing_ms", SampleMs(kVerifyReps, [&] { Keep(Pairing(p, q)); }).Median());
+  emit("miller_loop_ms", SampleMs(kVerifyReps, [&] { Keep(MillerLoop(p, q)); }).Median());
 
-void BM_MillerLoop(benchmark::State& state) {
-  G1 p = G1Generator().ScalarMul(BigUInt(12345));
-  G2 q = G2Generator().ScalarMul(BigUInt(67890));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(MillerLoop(p, q));
-  }
-}
-BENCHMARK(BM_MillerLoop)->Unit(benchmark::kMillisecond);
-
-// --- Machine-readable threads comparison ------------------------------------
-//
-// Emits one-line JSON records ({"bench":...,"metric":...,"value":...}) that
-// run_benches.sh collects into BENCH_results.json, so the perf trajectory of
-// the parallel pipeline is measured, not asserted. Wall-clock speedups only
-// materialize on multi-core hosts; the records always include the measured
-// lane counts so a single-core run is interpretable.
-
-double MedianMs(const std::function<void()>& op, int runs = 3) {
-  std::vector<double> ms;
-  for (int i = 0; i < runs; ++i) {
-    auto start = std::chrono::steady_clock::now();
-    op();
-    std::chrono::duration<double, std::milli> d =
-        std::chrono::steady_clock::now() - start;
-    ms.push_back(d.count());
-  }
-  std::sort(ms.begin(), ms.end());
-  return ms[ms.size() / 2];
+  Bytes encoded = small.proof.ToBytes();
+  emit("proof_bytes", encoded.size());
+  emit("proof_encode_us",
+       1000.0 * SampleMs(kCodecReps, [&] { Keep(small.proof.ToBytes()); }).Median());
+  emit("proof_decode_us",
+       1000.0 * SampleMs(kCodecReps, [&] { Keep(groth16::Proof::FromBytes(encoded)); }).Median());
 }
 
-void EmitJson(const char* metric, double value) {
-  std::printf("{\"bench\": \"groth16\", \"metric\": \"%s\", \"value\": %.4f}\n",
-              metric, value);
-}
-
-void EmitThreadsComparison() {
-  constexpr size_t kCircuit = 1 << 12;
+// Prove, MSM and coset-FFT time at 1, 4 and N threads. Wall-clock speedups
+// only materialize on multi-core hosts; the records always include the
+// measured lane counts so a single-core run is interpretable.
+void EmitThreadsComparison(const Fixture& f) {
   constexpr size_t kMsmSize = 4096;
-  Fixture& f = CachedFixture(kCircuit);
 
   Rng rng(11);
   std::vector<G1> bases;
@@ -186,11 +96,8 @@ void EmitThreadsComparison() {
   auto measure_prove = [&](size_t threads, const char* suffix) {
     ThreadPool::SetGlobalThreads(threads);
     Rng prove_rng(7);
-    double prove_ms =
-        MedianMs([&] { groth16::Prove(f.pk, f.cs, &prove_rng); });
-    char name[64];
-    std::snprintf(name, sizeof(name), "prove_ms_%s", suffix);
-    EmitJson(name, prove_ms);
+    double prove_ms = SampleMs(3, [&] { groth16::Prove(f.pk, f.cs, &prove_rng); }).Median();
+    emit(std::string("prove_ms_") + suffix, prove_ms);
     return prove_ms;
   };
 
@@ -214,14 +121,7 @@ void EmitThreadsComparison() {
   constexpr int kReps = 24;
   constexpr int kFftIters = 6;
   const size_t cfgs[3] = {1, 4, hw};
-  std::array<std::vector<double>, 3> msm_ms, fft_ms;
-  auto once = [](const std::function<void()>& op) {
-    auto start = std::chrono::steady_clock::now();
-    op();
-    return std::chrono::duration<double, std::milli>(
-               std::chrono::steady_clock::now() - start)
-        .count();
-  };
+  std::array<Samples, 3> msm_ms, fft_ms;
   for (int rep = 0; rep < kReps; ++rep) {
     // Rotate the visiting order so each configuration occupies each slot
     // within the repetition equally often: the preceding measurement warms
@@ -230,49 +130,33 @@ void EmitThreadsComparison() {
     for (int pos = 0; pos < 3; ++pos) {
       int ci = (rep + pos) % 3;
       ThreadPool::SetGlobalThreads(cfgs[ci]);
-      msm_ms[ci].push_back(
-          once([&] { benchmark::DoNotOptimize(Msm(bases, scalars)); }));
-      fft_ms[ci].push_back(once([&] {
-                             for (int it = 0; it < kFftIters; ++it) {
-                               std::vector<Fr> work = poly;
-                               domain.CosetFft(&work);
-                               domain.CosetIfft(&work);
-                             }
-                           }) /
-                           kFftIters);
+      msm_ms[ci].Add(TimeMs([&] { Keep(Msm(bases, scalars)); }));
+      fft_ms[ci].Add(TimeMs([&] {
+                       for (int it = 0; it < kFftIters; ++it) {
+                         std::vector<Fr> work = poly;
+                         domain.CosetFft(&work);
+                         domain.CosetIfft(&work);
+                       }
+                     }) /
+                     kFftIters);
     }
   }
   ThreadPool::SetGlobalThreads(0);
-  auto median = [](std::vector<double> v) {
-    std::sort(v.begin(), v.end());
-    return v[v.size() / 2];
-  };
   const char* suffixes[3] = {"threads1", "threads4", "threadsN"};
   for (int ci = 0; ci < 3; ++ci) {
-    char name[64];
-    std::snprintf(name, sizeof(name), "msm_g1_%zu_ms_%s", kMsmSize,
-                  suffixes[ci]);
-    EmitJson(name, median(msm_ms[ci]));
-    std::snprintf(name, sizeof(name), "coset_fft_%zu_ms_%s", kMsmSize,
-                  suffixes[ci]);
-    EmitJson(name, median(fft_ms[ci]));
+    std::string size = std::to_string(kMsmSize);
+    emit("msm_g1_" + size + "_ms_" + suffixes[ci], msm_ms[ci].Median());
+    emit("coset_fft_" + size + "_ms_" + suffixes[ci], fft_ms[ci].Median());
   }
-  auto minimum = [](const std::vector<double>& v) {
-    return *std::min_element(v.begin(), v.end());
-  };
-  EmitJson("threads_n", static_cast<double>(hw));
-  EmitJson("simd_lanes", static_cast<double>(Fr::SimdLanes()));
-  std::printf("{\"bench\": \"groth16\", \"metric\": \"simd_backend_%s\", "
-              "\"value\": 1}\n",
-              Fr::SimdBackendName());
-  EmitJson("prove_speedup_4t", p1 / p4);
-  EmitJson("msm_fft_speedup_4t",
-           (minimum(msm_ms[0]) + minimum(fft_ms[0])) /
-               (minimum(msm_ms[1]) + minimum(fft_ms[1])));
-  EmitJson("prove_speedup_nt", p1 / pn);
-  EmitJson("msm_fft_speedup_nt",
-           (minimum(msm_ms[0]) + minimum(fft_ms[0])) /
-               (minimum(msm_ms[2]) + minimum(fft_ms[2])));
+  emit("threads_n", hw);
+  emit("simd_lanes", Fr::SimdLanes());
+  emit(std::string("simd_backend_") + Fr::SimdBackendName(), 1);
+  emit("prove_speedup_4t", p1 / p4);
+  emit("msm_fft_speedup_4t",
+       (msm_ms[0].Min() + fft_ms[0].Min()) / (msm_ms[1].Min() + fft_ms[1].Min()));
+  emit("prove_speedup_nt", p1 / pn);
+  emit("msm_fft_speedup_nt",
+       (msm_ms[0].Min() + fft_ms[0].Min()) / (msm_ms[2].Min() + fft_ms[2].Min()));
 }
 
 // Offline sweep behind NOPE_MSM_AUTOTUNE=1: times MsmSignedAffine directly
@@ -308,14 +192,7 @@ void RunMsmAutotune() {
     double best_ms = 0;
     for (size_t c = 2; c <= 14; ++c) {
       const int reps = n <= 2048 ? 9 : (n <= 16384 ? 5 : 3);
-      double ms = 1e300;
-      for (int r = 0; r < reps; ++r) {
-        auto start = std::chrono::steady_clock::now();
-        benchmark::DoNotOptimize(MsmSignedAffine(b, s, nullptr, c));
-        ms = std::min(ms, std::chrono::duration<double, std::milli>(
-                              std::chrono::steady_clock::now() - start)
-                              .count());
-      }
+      double ms = SampleMs(reps, [&] { Keep(MsmSignedAffine(b, s, nullptr, c)); }).Min();
       std::printf("#   n=%-7zu c=%-2zu %.3f ms\n", n, c, ms);
       if (best_c == 0 || ms < best_ms) {
         best_c = c;
@@ -330,18 +207,17 @@ void RunMsmAutotune() {
 }  // namespace
 }  // namespace nope
 
-int main(int argc, char** argv) {
+int main() {
   const char* autotune = std::getenv("NOPE_MSM_AUTOTUNE");
   if (autotune != nullptr && autotune[0] != '\0' && autotune[0] != '0') {
     nope::RunMsmAutotune();
     return 0;
   }
-  ::benchmark::Initialize(&argc, argv);
-  if (::benchmark::ReportUnrecognizedArguments(argc, argv)) {
-    return 1;
-  }
-  ::benchmark::RunSpecifiedBenchmarks();
-  ::benchmark::Shutdown();
-  nope::EmitThreadsComparison();
+  std::printf("=== Groth16 back-end (paper §2.3) ===\n");
+  nope::Fixture small(1 << 10);
+  nope::Fixture mid(1 << 12);
+  nope::Fixture large(1 << 14);
+  nope::EmitSizeSweep(small, mid, large);
+  nope::EmitThreadsComparison(mid);
   return 0;
 }

@@ -3,9 +3,9 @@
 // verification (256-bit vs. GLV), and RSA, at both P-256/RSA-2048 scale and
 // the toy demo scale. Reproduces the §8.3 claims that NOPE's techniques cut
 // ECDSA from ~17x RSA to 3-4x RSA.
-#include <chrono>
 #include <cstdio>
 
+#include "bench/bench_util.h"
 #include "src/ec/batch_affine.h"
 #include "src/r1cs/ecdsa_gadget.h"
 #include "src/r1cs/rsa_gadget.h"
@@ -16,18 +16,9 @@ using namespace nope;
 
 namespace {
 
-void EmitJson(const char* metric, double value) {
-  std::printf("{\"bench\": \"micro_crypto\", \"metric\": \"%s\", \"value\": %.4f}\n",
-              metric, value);
-}
+const bench::Emitter emit("micro_crypto");
 
 // --- Field-op throughput (scalar CIOS vs SIMD batch kernels) --------------
-
-double NowMs() {
-  return std::chrono::duration<double, std::milli>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
 
 // Each measurement folds its results into a checksum that is printed at the
 // end, so the optimizer cannot delete the timed loops.
@@ -45,85 +36,83 @@ void BenchFieldOps(const char* name) {
     a[i] = F::Random(&rng);
     b[i] = F::Random(&rng);
   }
-  char metric[96];
-  auto emit_ns_per_op = [&](const char* op, double ms, double ops) {
-    std::snprintf(metric, sizeof(metric), "%s_%s", name, op);
-    EmitJson(metric, ms * 1e6 / ops);
+  auto time_ns_per_op = [&](const char* op, double ops, auto body) {
+    emit(std::string(name) + "_" + op, bench::TimeMs(body) * 1e6 / ops);
   };
 
   // Scalar multiply / square: element-at-a-time through the CIOS path.
-  double t0 = NowMs();
-  for (int r = 0; r < kReps; ++r) {
-    for (size_t i = 0; i < kN; ++i) {
-      out[i] = a[i] * b[i];
+  time_ns_per_op("mul_ns_scalar", double(kN) * kReps, [&] {
+    for (int r = 0; r < kReps; ++r) {
+      for (size_t i = 0; i < kN; ++i) {
+        out[i] = a[i] * b[i];
+      }
     }
-  }
-  emit_ns_per_op("mul_ns_scalar", NowMs() - t0, double(kN) * kReps);
+  });
   g_checksum ^= out[kN - 1].limbs()[0];
 
-  t0 = NowMs();
-  for (int r = 0; r < kReps; ++r) {
-    for (size_t i = 0; i < kN; ++i) {
-      out[i] = a[i].Square();
+  time_ns_per_op("sqr_ns_scalar", double(kN) * kReps, [&] {
+    for (int r = 0; r < kReps; ++r) {
+      for (size_t i = 0; i < kN; ++i) {
+        out[i] = a[i].Square();
+      }
     }
-  }
-  emit_ns_per_op("sqr_ns_scalar", NowMs() - t0, double(kN) * kReps);
+  });
   g_checksum ^= out[kN - 1].limbs()[0];
 
   // Batch multiply / square: whatever backend the process selected
   // (NOPE_SIMD env). With NOPE_SIMD=off these measure the batch-API
   // overhead over the scalar path.
-  t0 = NowMs();
-  for (int r = 0; r < kReps; ++r) {
-    F::MulBatch(a.data(), b.data(), out.data(), kN);
-  }
-  emit_ns_per_op("mul_ns_simd", NowMs() - t0, double(kN) * kReps);
+  time_ns_per_op("mul_ns_simd", double(kN) * kReps, [&] {
+    for (int r = 0; r < kReps; ++r) {
+      F::MulBatch(a.data(), b.data(), out.data(), kN);
+    }
+  });
   g_checksum ^= out[kN - 1].limbs()[0];
 
-  t0 = NowMs();
-  for (int r = 0; r < kReps; ++r) {
-    F::SquareBatch(a.data(), out.data(), kN);
-  }
-  emit_ns_per_op("sqr_ns_simd", NowMs() - t0, double(kN) * kReps);
+  time_ns_per_op("sqr_ns_simd", double(kN) * kReps, [&] {
+    for (int r = 0; r < kReps; ++r) {
+      F::SquareBatch(a.data(), out.data(), kN);
+    }
+  });
   g_checksum ^= out[kN - 1].limbs()[0];
 
   // Single inversion (Fermat ladder), and the amortized per-element cost of
   // batch inversion, serial vs lane-parallel.
   constexpr size_t kInvN = 256;
-  t0 = NowMs();
-  for (size_t i = 0; i < kInvN; ++i) {
-    out[i] = a[i].Inverse();
-  }
-  emit_ns_per_op("inv_ns", NowMs() - t0, double(kInvN));
+  time_ns_per_op("inv_ns", double(kInvN), [&] {
+    for (size_t i = 0; i < kInvN; ++i) {
+      out[i] = a[i].Inverse();
+    }
+  });
   g_checksum ^= out[kInvN - 1].limbs()[0];
 
   constexpr int kInvReps = 50;
   std::vector<F> vals(kN);
-  t0 = NowMs();
-  for (int r = 0; r < kInvReps; ++r) {
-    for (size_t i = 0; i < kN; ++i) {
-      vals[i] = a[i];
+  time_ns_per_op("batchinv_ns_scalar", double(kN) * kInvReps, [&] {
+    for (int r = 0; r < kInvReps; ++r) {
+      for (size_t i = 0; i < kN; ++i) {
+        vals[i] = a[i];
+      }
+      batch_affine_detail::BatchInvertSerial(vals.data(), kN);
     }
-    batch_affine_detail::BatchInvertSerial(vals.data(), kN);
-  }
-  emit_ns_per_op("batchinv_ns_scalar", NowMs() - t0, double(kN) * kInvReps);
+  });
   g_checksum ^= vals[kN - 1].limbs()[0];
 
-  t0 = NowMs();
-  for (int r = 0; r < kInvReps; ++r) {
-    for (size_t i = 0; i < kN; ++i) {
-      vals[i] = a[i];
+  time_ns_per_op("batchinv_ns_simd", double(kN) * kInvReps, [&] {
+    for (int r = 0; r < kInvReps; ++r) {
+      for (size_t i = 0; i < kN; ++i) {
+        vals[i] = a[i];
+      }
+      BatchInvertField(&vals);
     }
-    BatchInvertField(&vals);
-  }
-  emit_ns_per_op("batchinv_ns_simd", NowMs() - t0, double(kN) * kInvReps);
+  });
   g_checksum ^= vals[kN - 1].limbs()[0];
 }
 
 void BenchAllFields() {
   printf("\n=== Field-op throughput (backend=%s, lanes=%zu) ===\n",
          Fr::SimdBackendName(), Fr::SimdLanes());
-  EmitJson("simd_lanes", static_cast<double>(Fr::SimdLanes()));
+  emit("simd_lanes", Fr::SimdLanes());
   BenchFieldOps<Fq>("fq");
   BenchFieldOps<Fr>("fr");
   BenchFieldOps<P256Fq>("p256fq");

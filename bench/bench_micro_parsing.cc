@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <functional>
 
+#include "bench/bench_util.h"
 #include "src/r1cs/parse_gadgets.h"
 
 using namespace nope;
@@ -98,18 +99,14 @@ int main() {
     printf("  measured at L=1024: %zu constraints\n", suffix_cost);
   }
 
-  // Machine-readable records for BENCH_results.json: constraint counts are
-  // deterministic, so these double as compiler-cost regression tripwires.
-  {
-    LC start = LC::Constant(Fr::FromU64(128));
-    size_t slice_cost =
-        CostOf(512, [&](ConstraintSystem* cs, const std::vector<LC>& a) {
-          SliceNope(cs, a, start, 32);
-        });
-    printf("{\"bench\": \"micro_parsing\", \"metric\": \"slice_nope_m512_constraints\", "
-           "\"value\": %zu}\n", slice_cost);
-  }
-  printf("{\"bench\": \"micro_parsing\", \"metric\": \"suffix_sum_l1024_constraints\", "
-         "\"value\": %zu}\n", suffix_cost);
+  // Constraint counts are deterministic, so these records double as
+  // compiler-cost regression tripwires.
+  LC start = LC::Constant(Fr::FromU64(128));
+  size_t slice_cost = CostOf(512, [&](ConstraintSystem* cs, const std::vector<LC>& a) {
+    SliceNope(cs, a, start, 32);
+  });
+  const bench::Emitter emit("micro_parsing");
+  emit("slice_nope_m512_constraints", slice_cost);
+  emit("suffix_sum_l1024_constraints", suffix_cost);
   return 0;
 }

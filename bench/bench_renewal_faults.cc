@@ -1,14 +1,13 @@
-// Renewal-under-faults sweep (ISSUE 3): issuance latency percentiles and
+// Renewal-under-faults sweep: issuance latency percentiles and
 // lifecycle outcomes at DNS/CA fault rates of 0%, 10%, and 30%, measured over
 // many independent simulated issuance attempts under SimClock. "Latency" is
 // simulated wall-clock per successful issuance cycle (resolve + prove + ACME
 // plus any retries/backoff), so the sweep shows how the retry policy turns
 // per-call fault probability into tail latency rather than failure.
-#include <algorithm>
 #include <cstdio>
 #include <string>
-#include <vector>
 
+#include "bench/bench_util.h"
 #include "src/core/renewal.h"
 
 using namespace nope;
@@ -18,26 +17,15 @@ namespace {
 constexpr uint64_t kStartMs = 1'750'000'000'000ull;
 
 struct SweepResult {
-  std::vector<double> latencies_s;  // successful cycles only
-  size_t attempts = 0;
+  bench::Samples latencies_s;  // successful cycles only
   size_t nope_issued = 0;
   size_t legacy_issued = 0;
   size_t failures = 0;
   size_t stage_faults = 0;
 };
 
-double Percentile(std::vector<double> values, double p) {
-  if (values.empty()) {
-    return 0;
-  }
-  std::sort(values.begin(), values.end());
-  size_t idx = static_cast<size_t>(p * static_cast<double>(values.size() - 1) + 0.5);
-  return values[idx];
-}
-
 SweepResult RunSweep(double fault_rate, size_t attempts, uint64_t seed) {
   SweepResult out;
-  out.attempts = attempts;
   for (size_t i = 0; i < attempts; ++i) {
     // Independent worlds per attempt so one attempt's burned time and fault
     // stream never leak into the next sample.
@@ -67,7 +55,7 @@ SweepResult RunSweep(double fault_rate, size_t attempts, uint64_t seed) {
     uint64_t before = clock.NowMs();
     bool issued = manager.RunOneCycle();
     if (issued) {
-      out.latencies_s.push_back(static_cast<double>(clock.NowMs() - before) / 1000.0);
+      out.latencies_s.Add(static_cast<double>(clock.NowMs() - before) / 1000.0);
     } else {
       ++out.failures;
     }
@@ -91,29 +79,23 @@ int main() {
   printf("%-12s %10s %10s %10s %8s %8s %8s\n", "fault_rate", "p50_s", "p95_s",
          "max_s", "nope", "legacy", "failed");
 
-  auto emit = [](const std::string& metric, double value) {
-    printf("{\"bench\": \"renewal_faults\", \"metric\": \"%s\", \"value\": %.4f}\n",
-           metric.c_str(), value);
-  };
+  const bench::Emitter emit("renewal_faults");
 
   for (double rate : rates) {
     SweepResult result = RunSweep(rate, kAttempts, /*seed=*/42);
-    double p50 = Percentile(result.latencies_s, 0.50);
-    double p95 = Percentile(result.latencies_s, 0.95);
-    double max = result.latencies_s.empty()
-                     ? 0
-                     : *std::max_element(result.latencies_s.begin(),
-                                         result.latencies_s.end());
+    double p50 = result.latencies_s.Percentile(0.50);
+    double p95 = result.latencies_s.Percentile(0.95);
+    double max = result.latencies_s.Max();
     printf("%-12.2f %10.1f %10.1f %10.1f %8zu %8zu %8zu\n", rate, p50, p95, max,
            result.nope_issued, result.legacy_issued, result.failures);
 
     std::string tag = "rate" + std::to_string(static_cast<int>(rate * 100));
     emit("issuance_p50_s_" + tag, p50);
     emit("issuance_p95_s_" + tag, p95);
-    emit("issued_nope_" + tag, static_cast<double>(result.nope_issued));
-    emit("issued_legacy_" + tag, static_cast<double>(result.legacy_issued));
-    emit("failed_cycles_" + tag, static_cast<double>(result.failures));
-    emit("stage_faults_" + tag, static_cast<double>(result.stage_faults));
+    emit("issued_nope_" + tag, result.nope_issued);
+    emit("issued_legacy_" + tag, result.legacy_issued);
+    emit("failed_cycles_" + tag, result.failures);
+    emit("stage_faults_" + tag, result.stage_faults);
   }
   return 0;
 }

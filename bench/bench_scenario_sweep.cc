@@ -1,4 +1,4 @@
-// Scenario-zoo sweep (ISSUE 6): generates and runs a fleet of seeded
+// Scenario-zoo sweep: generates and runs a fleet of seeded
 // DNSSEC/PKI topology scenarios through issuance + renewal + client
 // verification and emits the class x outcome coverage matrix, the
 // downgrade-reason histogram, and the matrix digest.
@@ -16,6 +16,7 @@
 #include <cstdlib>
 #include <cstring>
 
+#include "bench/bench_util.h"
 #include "src/scenario/runner.h"
 
 using namespace nope;
@@ -58,7 +59,7 @@ int main(int argc, char** argv) {
   uint64_t digest = matrix.Digest();
   std::printf("\nmatrix digest: %016" PRIx64 "\n", digest);
 
-  // Machine-readable records for run_benches.sh / BENCH_results.json.
+  const bench::Emitter emit("scenario_sweep");
   size_t totals[kNumScenarioOutcomes] = {};
   for (int c = 0; c < kNumScenarioClasses; ++c) {
     for (int o = 0; o < kNumScenarioOutcomes; ++o) {
@@ -66,24 +67,16 @@ int main(int argc, char** argv) {
     }
   }
   for (int o = 0; o < kNumScenarioOutcomes; ++o) {
-    std::printf("{\"bench\": \"scenario_sweep\", \"metric\": \"%s\", \"value\": %zu}\n",
-                ScenarioOutcomeName(static_cast<ScenarioOutcome>(o)), totals[o]);
+    emit(ScenarioOutcomeName(static_cast<ScenarioOutcome>(o)), totals[o]);
   }
   for (int r = 0; r < kNumDowngradeReasons; ++r) {
     if (matrix.reasons[r] > 0) {
-      std::printf(
-          "{\"bench\": \"scenario_sweep\", \"metric\": \"reason_%s\", \"value\": %zu}\n",
-          DowngradeReasonName(static_cast<DowngradeReason>(r)), matrix.reasons[r]);
+      emit(std::string("reason_") + DowngradeReasonName(static_cast<DowngradeReason>(r)),
+           matrix.reasons[r]);
     }
   }
-  // The 64-bit digest split into exact-in-double halves.
-  std::printf(
-      "{\"bench\": \"scenario_sweep\", \"metric\": \"digest_hi\", \"value\": %" PRIu64
-      "}\n",
-      digest >> 32);
-  std::printf(
-      "{\"bench\": \"scenario_sweep\", \"metric\": \"digest_lo\", \"value\": %" PRIu64
-      "}\n",
-      digest & 0xffffffffull);
+  // The 64-bit digest split into halves that a JSON double holds exactly.
+  emit("digest_hi", digest >> 32);
+  emit("digest_lo", digest & 0xffffffffull);
   return 0;
 }

@@ -1,4 +1,4 @@
-// Proving-service load sweep (ISSUE 5): open-loop arrivals against the
+// Proving-service load sweep: open-loop arrivals against the
 // multi-tenant ProvingService at three offered-load levels (0.5x, 1.0x, 2.0x
 // of the single-prover service rate), reporting end-to-end latency
 // percentiles, goodput, and shed rate. Everything runs under SimClock: the
@@ -7,12 +7,12 @@
 // carries an arrival-relative deadline — so at 2x overload the sweep shows
 // admission control and deadline shedding converting an unbounded backlog
 // into bounded latency plus an explicit shed rate, instead of a collapse.
-#include <algorithm>
 #include <cstdio>
 #include <map>
 #include <string>
 #include <vector>
 
+#include "bench/bench_util.h"
 #include "src/base/clock.h"
 #include "src/service/proving_service.h"
 
@@ -35,15 +35,6 @@ struct LoadResult {
   double goodput_per_s = 0;  // completed-in-deadline jobs per simulated second
   double shed_rate = 0;      // (rejected + shed) / arrivals
 };
-
-double Percentile(std::vector<double> values, double p) {
-  if (values.empty()) {
-    return 0;
-  }
-  std::sort(values.begin(), values.end());
-  size_t idx = static_cast<size_t>(p * static_cast<double>(values.size() - 1) + 0.5);
-  return values[idx];
-}
 
 // Statement burning kServiceMs of simulated time in slices, honoring the
 // job's deadline token at each slice boundary (the sim twin of
@@ -106,19 +97,18 @@ LoadResult RunLoad(double offered_load) {
     service.PumpOne();  // burns service time, possibly past later arrivals
   }
 
-  std::vector<double> latencies_ms;
+  bench::Samples latencies_ms;
   for (const JobResult& r : service.results()) {
     if (r.outcome == JobOutcome::kOk) {
       ++out.ok;
-      latencies_ms.push_back(
-          static_cast<double>(r.finished_ms - arrived_ms[r.job_id]));
+      latencies_ms.Add(static_cast<double>(r.finished_ms - arrived_ms[r.job_id]));
     } else {
       ++out.shed;
     }
   }
   uint64_t elapsed_ms = clock.NowMs() - start;
-  out.p50_ms = Percentile(latencies_ms, 0.50);
-  out.p99_ms = Percentile(latencies_ms, 0.99);
+  out.p50_ms = latencies_ms.Percentile(0.50);
+  out.p99_ms = latencies_ms.Percentile(0.99);
   out.goodput_per_s = elapsed_ms == 0 ? 0
                                       : static_cast<double>(out.ok) * 1000.0 /
                                             static_cast<double>(elapsed_ms);
@@ -140,10 +130,7 @@ int main() {
   printf("%-8s %10s %10s %12s %10s %8s %8s %8s\n", "load", "p50_ms", "p99_ms",
          "goodput/s", "shed_rate", "ok", "rej", "shed");
 
-  auto emit = [](const std::string& metric, double value) {
-    printf("{\"bench\": \"service_load\", \"metric\": \"%s\", \"value\": %.4f}\n",
-           metric.c_str(), value);
-  };
+  const bench::Emitter emit("service_load");
 
   for (double load : loads) {
     LoadResult r = RunLoad(load);

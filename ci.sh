@@ -64,32 +64,53 @@ if [ "$d1" != "$d2" ]; then
   exit 1
 fi
 
-echo "=== stage 4c: SIMD off/on digest identity ==="
+echo "=== stage 4c: SIMD backend digest identity ==="
 # The determinism contract across SIMD backends is cross-PROCESS (the
 # NOPE_SIMD env is read once per process), so it cannot live in a gtest:
 # run the digest binary under every backend x thread-count combination and
 # require bit-identical stdout. Covers MSM result bytes, full Groth16
 # proof bytes, the outputs of a 2^12 FFT chain, and witness-shaped G1/G2
 # MSMs (mostly zero and one scalars) that run every part of MsmAffine's
-# density split: the short-scalar part, the GLV tail and the G2 tail.
-cmake --build build -j "$(nproc)" --target simd_determinism_main >/dev/null
+# density split: the short-scalar part, the GLV tail and the G2 tail. An
+# unset NOPE_SIMD picks the widest kernel, so on an AVX-512 host the AVX2
+# kernel runs only under NOPE_SIMD=avx2; its differential test runs here too.
+cmake --build build -j "$(nproc)" --target simd_determinism_main fp_simd_test >/dev/null
 ref="$(NOPE_SIMD=off NOPE_THREADS=1 ./build/tests/simd_determinism_main 2>/dev/null)"
-for simd in off on; do
+# The reference must also match the digests pinned in the binary's header.
+pinned="$(grep -oE '(msm|proof|fft|witness_msm)_digest=[0-9a-f]{16}' \
+  tests/simd_determinism_main.cc)"
+if [ "$ref" != "$pinned" ]; then
+  echo "FAILED: digests differ from those pinned in simd_determinism_main.cc" >&2
+  echo "want: $pinned" >&2
+  echo "got:  $ref" >&2
+  exit 1
+fi
+for simd in off avx2 ""; do
   for threads in 1 2 7; do
-    got="$(NOPE_SIMD=$simd NOPE_THREADS=$threads ./build/tests/simd_determinism_main 2>/dev/null)"
+    got="$(env -u NOPE_SIMD ${simd:+NOPE_SIMD=$simd} NOPE_THREADS=$threads \
+      ./build/tests/simd_determinism_main 2>/dev/null)"
     if [ "$got" != "$ref" ]; then
-      echo "FAILED: digest mismatch at NOPE_SIMD=$simd NOPE_THREADS=$threads" >&2
+      echo "FAILED: digest mismatch at NOPE_SIMD=${simd:-unset} NOPE_THREADS=$threads" >&2
       echo "want: $ref" >&2
       echo "got:  $got" >&2
       exit 1
     fi
   done
 done
-echo "digests identical across NOPE_SIMD={off,on} x NOPE_THREADS={1,2,7}"
+echo "digests identical across NOPE_SIMD={off,avx2,unset} x NOPE_THREADS={1,2,7}"
+if grep -qw avx2 /proc/cpuinfo; then
+  echo "--- fp_simd_test (NOPE_SIMD=avx2) ---"
+  avx2_out="$(NOPE_SIMD=avx2 ./build/tests/fp_simd_test)"
+  echo "$avx2_out"
+  if ! grep -q 'backend=avx2' <<< "$avx2_out"; then
+    echo "FAILED: NOPE_SIMD=avx2 did not select the AVX2 kernel" >&2
+    exit 1
+  fi
+fi
 
 echo "=== stage 4d: NOPE_SIMD=off build ==="
 # The scalar-only configuration must build and pass the field/MSM/Groth16
-# tests on its own: hosts without AVX2/NEON compile no SIMD translation
+# tests on its own: hosts that are not x86-64 compile no SIMD translation
 # units at all, and this leg keeps that path honest.
 cmake -B build-nosimd -S . -DNOPE_SIMD=OFF >/dev/null
 NOSIMD_TARGETS=(field_test fp_simd_test msm_kernel_test groth16_test)

@@ -6,11 +6,17 @@
 # any checkout and any cwd. Benches emit one-line JSON records of the form
 # {"bench": ..., "metric": ..., "value": ...}; those lines are collected into
 # BENCH_results.json (a JSON array), each stamped with the short commit hash,
-# so the perf trajectory across PRs is machine-readable and attributable.
+# so the perf trajectory across PRs is machine-readable and attributable. A
+# tree whose tracked files (BENCH_results.json aside) differ from HEAD is
+# stamped <hash>-dirty: its numbers belong to no commit.
 set -euo pipefail
 cd "$(cd "$(dirname "${BASH_SOURCE[0]}")" && pwd)"
 
 commit="$(git rev-parse --short HEAD 2>/dev/null || echo unknown)"
+if [ "$commit" != unknown ] &&
+    ! git diff --quiet HEAD -- . ':(exclude)BENCH_results.json'; then
+  commit="$commit-dirty"
+fi
 
 json_lines="$(mktemp)"
 bench_out="$(mktemp)"

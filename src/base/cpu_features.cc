@@ -18,13 +18,4 @@ bool CpuHasAvx512F() {
 #endif
 }
 
-bool CpuHasNeon() {
-#if defined(__aarch64__)
-  // Advanced SIMD is architecturally mandatory on AArch64.
-  return true;
-#else
-  return false;
-#endif
-}
-
 }  // namespace nope

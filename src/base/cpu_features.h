@@ -12,7 +12,6 @@ namespace nope {
 // architectures where the extension does not exist.
 bool CpuHasAvx2();
 bool CpuHasAvx512F();
-bool CpuHasNeon();
 
 }  // namespace nope
 

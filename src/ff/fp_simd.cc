@@ -13,36 +13,41 @@ namespace {
 Backend Scalar() { return Backend{nullptr, 1, "scalar"}; }
 
 Backend Select() {
-  const char* env = std::getenv("NOPE_SIMD");
-  std::string mode = env == nullptr ? "auto" : env;
-  for (char& c : mode) {
-    c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
-  }
-  if (mode == "off" || mode == "0" || mode == "scalar") {
+  const Request request = ParseRequest(std::getenv("NOPE_SIMD"));
+  if (request == Request::kScalar) {
     return Scalar();
   }
-  const bool any = mode == "on" || mode == "auto" || mode.empty();
 #if defined(NOPE_SIMD_HAVE_AVX512)
-  if ((any || mode == "avx512") && CpuHasAvx512F()) {
+  if (request != Request::kAvx2 && CpuHasAvx512F()) {
     return Backend{&MontMulBatchAvx512, 8, "avx512"};
   }
 #endif
 #if defined(NOPE_SIMD_HAVE_AVX2)
-  // An explicit "avx512" request degrades to AVX2 when the CPU lacks it, the
-  // same way "on" does: the env var requests a ceiling, not an exact kernel.
-  if ((any || mode == "avx2" || mode == "avx512") && CpuHasAvx2()) {
+  if (CpuHasAvx2()) {
     return Backend{&MontMulBatchAvx2, 4, "avx2"};
-  }
-#endif
-#if defined(NOPE_SIMD_HAVE_NEON)
-  if ((any || mode == "neon") && CpuHasNeon()) {
-    return Backend{&MontMulBatchNeon, 2, "neon"};
   }
 #endif
   return Scalar();
 }
 
 }  // namespace
+
+Request ParseRequest(const char* value) {
+  std::string mode = value == nullptr ? "" : value;
+  for (char& c : mode) {
+    c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
+  }
+  if (mode == "off" || mode == "0" || mode == "scalar") {
+    return Request::kScalar;
+  }
+  if (mode == "avx2") {
+    return Request::kAvx2;
+  }
+  if (mode == "avx512") {
+    return Request::kAvx512;
+  }
+  return Request::kAuto;
+}
 
 const Backend& ActiveBackend() {
   static const Backend backend = Select();

@@ -11,7 +11,7 @@
 //
 // Bit-identity contract: every kernel computes a*b*2^-256 mod p with a final
 // conditional subtraction to the canonical representative < p, exactly like
-// the scalar MontMul. The internal radix (2^32 for AVX2/AVX-512/NEON vs the
+// the scalar MontMul. The internal radix (2^32 for AVX2/AVX-512 vs the
 // scalar 2^64) does not change the result, so outputs are bit-identical
 // limb-for-limb across backends for every input — pinned by
 // tests/fp_simd_test.cc across all four moduli.
@@ -37,16 +37,26 @@ using MontMulBatchFn = void (*)(const uint64_t* a, const uint64_t* b,
 struct Backend {
   MontMulBatchFn mont_mul;  // null for the scalar backend
   size_t lanes;             // elements per kernel pass (1 for scalar)
-  const char* name;         // "scalar", "avx2", "avx512", "neon"
+  const char* name;         // "scalar", "avx2", "avx512"
 };
 
+// What a NOPE_SIMD environment value asks of the dispatcher.
+enum class Request {
+  kAuto,    // the widest kernel compiled in and supported by the CPU
+  kScalar,  // the scalar CIOS path
+  kAvx2,    // at most the AVX2 kernel
+  kAvx512,  // at most the AVX-512 kernel
+};
+
+// Parses a NOPE_SIMD value, ignoring case: "off", "0" and "scalar" force the
+// scalar path; "avx2" and "avx512" name a ceiling, and a kernel the CPU
+// lacks falls back to the next narrower one; anything else, null and empty
+// included, means automatic.
+Request ParseRequest(const char* value);
+
 // The backend selected for this process: the widest kernel both compiled in
-// (CMake option NOPE_SIMD) and supported by the running CPU, unless the
-// NOPE_SIMD environment variable narrows it:
-//   off / 0 / scalar  -> force the scalar CIOS path
-//   avx2 / avx512 / neon -> request that kernel, falling back to the next
-//                           narrower available one
-//   on / auto / unset -> widest available
+// (CMake option NOPE_SIMD) and supported by the running CPU, under the
+// ceiling ParseRequest reads from the NOPE_SIMD environment variable.
 // Initialization is a C++11 magic static: concurrent first calls are safe
 // (pinned under TSan by tests/fp_simd_test.cc).
 const Backend& ActiveBackend();
@@ -58,8 +68,6 @@ void MontMulBatchAvx2(const uint64_t* a, const uint64_t* b, uint64_t* out,
                       size_t count, const uint64_t* p, uint64_t inv);
 void MontMulBatchAvx512(const uint64_t* a, const uint64_t* b, uint64_t* out,
                         size_t count, const uint64_t* p, uint64_t inv);
-void MontMulBatchNeon(const uint64_t* a, const uint64_t* b, uint64_t* out,
-                      size_t count, const uint64_t* p, uint64_t inv);
 
 }  // namespace fp_simd
 }  // namespace nope

@@ -124,6 +124,28 @@ TEST(FpSimdDispatch, ReportsBackend) {
   std::printf("[ SIMD     ] backend=%s lanes=%zu\n", be.name, be.lanes);
 }
 
+TEST(FpSimdDispatch, ParseRequestCoversEverySpelling) {
+  using fp_simd::ParseRequest;
+  using fp_simd::Request;
+  for (const char* v : {"off", "OFF", "Off", "0", "scalar", "Scalar"}) {
+    EXPECT_EQ(ParseRequest(v), Request::kScalar) << v;
+  }
+  for (const char* v : {"avx2", "AVX2", "Avx2"}) {
+    EXPECT_EQ(ParseRequest(v), Request::kAvx2) << v;
+  }
+  for (const char* v : {"avx512", "AVX512", "Avx512"}) {
+    EXPECT_EQ(ParseRequest(v), Request::kAvx512) << v;
+  }
+  // Every other value means automatic, including ones that read as "switch
+  // it on" and kernels that do not exist or were removed.
+  EXPECT_EQ(ParseRequest(nullptr), Request::kAuto);
+  for (const char* v : {"", "auto", "AUTO", "on", "1", "true", "yes", "AVX-512",
+                        "avx-512", "avx512f", "avx", "neon", "sse2", " off",
+                        "off ", "00", "-1"}) {
+    EXPECT_EQ(ParseRequest(v), Request::kAuto) << "'" << v << "'";
+  }
+}
+
 TEST(FpSimdDispatch, InitIsThreadSafe) {
   // First-call init is a magic static; hammer it from several threads (the
   // TSan CI stage runs this test in a fresh process so the init really is
