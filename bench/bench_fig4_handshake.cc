@@ -1,10 +1,12 @@
 // Regenerates Figure 4: client-side cost to verify a server's authenticity
 // across (server, client) configurations — bandwidth plus verification time.
 //
-// Native timings are measured (10,000 reps with 1% outlier trim, like the
-// paper). The paper's "JS" column reflects its Wasm extension lacking
-// native pairing support; we report a modeled value using the paper's own
-// ~23x native-to-Wasm factor for the NOPE/NOPE cell (§8.5) and the measured
+// Native timings are measured with the paper's 1% outlier trim: 10,000 reps
+// of the legacy cells and 1,000 of the NOPE/NOPE and DCE cells, so the trim
+// drops 100 and 10 samples. The two headline cells also report medians.
+// The paper's "JS" column reflects its Wasm extension lacking native
+// pairing support; we report a modeled value using the paper's own ~23x
+// native-to-Wasm factor for the NOPE/NOPE cell (§8.5) and the measured
 // near-parity for the other cells.
 #include <cstdio>
 
@@ -36,12 +38,13 @@ int main() {
   size_t dce_bytes = dce.Serialize().size();
 
   const int kLightReps = 10000;
-  const int kHeavyReps = 30;
+  const int kHeavyReps = 1000;
 
   auto stats = [](int reps, auto op) { return bench::SampleMs(reps, op).TrimmedMeanStdev(); };
-  Samples::MeanStdev legacy_legacy = stats(kLightReps, [&] {
+  Samples legacy_legacy_samples = bench::SampleMs(kLightReps, [&] {
     LegacyVerifyChain(legacy_issued->chain, trust, domain, kVerifyAt, nullptr);
   });
+  Samples::MeanStdev legacy_legacy = legacy_legacy_samples.TrimmedMeanStdev();
   // Legacy server / NOPE client: NOPE client scans SANs, finds none, falls
   // back to legacy-only.
   Samples::MeanStdev legacy_nope = stats(kLightReps, [&] {
@@ -53,11 +56,13 @@ int main() {
   });
   // NOPE server / NOPE client: the full client path, which verifies the
   // proof against the deployment's prepared key.
-  Samples::MeanStdev nope_nope = stats(kHeavyReps, [&] {
+  Samples nope_nope_samples = bench::SampleMs(kHeavyReps, [&] {
     NopeClientVerify(world.deployment, nope_issued->chain, trust, domain, kVerifyAt, nullptr);
   });
-  Samples::MeanStdev dce_stats = stats(
-      20, [&] { (void)DceVerify(CryptoSuite::Real(), dce, domain, tls_key, real_anchor); });
+  Samples::MeanStdev nope_nope = nope_nope_samples.TrimmedMeanStdev();
+  Samples::MeanStdev dce_stats = stats(kHeavyReps, [&] {
+    (void)DceVerify(CryptoSuite::Real(), dce, domain, tls_key, real_anchor);
+  });
 
   printf("=== Figure 4: client-side verification cost ===\n\n");
   printf("%-8s %-8s %10s %20s %22s\n", "Server", "Client", "Bandwidth", "time (native)",
@@ -86,6 +91,8 @@ int main() {
   const bench::Emitter emit("fig4_handshake");
   emit("nope_nope_verify_ms", nope_nope.mean);
   emit("legacy_legacy_verify_ms", legacy_legacy.mean);
+  emit("nope_nope_verify_p50_ms", nope_nope_samples.Median());
+  emit("legacy_legacy_verify_p50_ms", legacy_legacy_samples.Median());
   emit("nope_chain_bytes", nope_bytes);
   emit("legacy_chain_bytes", legacy_bytes);
   return 0;

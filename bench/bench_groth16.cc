@@ -130,7 +130,7 @@ void EmitThreadsComparison(const Fixture& f) {
     for (int pos = 0; pos < 3; ++pos) {
       int ci = (rep + pos) % 3;
       ThreadPool::SetGlobalThreads(cfgs[ci]);
-      msm_ms[ci].Add(TimeMs([&] { Keep(Msm(bases, scalars)); }));
+      msm_ms[ci].Add(TimeMs([&] { Keep(MsmAffine(BatchToAffine(bases), scalars)); }));
       fft_ms[ci].Add(TimeMs([&] {
                        for (int it = 0; it < kFftIters; ++it) {
                          std::vector<Fr> work = poly;

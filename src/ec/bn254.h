@@ -15,6 +15,7 @@ namespace nope {
 struct Bn254G1Config {
   using Field = Fq;
   static constexpr bool kAIsZero = true;
+  static constexpr bool kAIsMinus3 = false;
   static Field A() { return Fq::Zero(); }
   static Field B() {
     static const Fq b = Fq::FromU64(3);
@@ -25,6 +26,7 @@ struct Bn254G1Config {
 struct Bn254G2Config {
   using Field = Fp2;
   static constexpr bool kAIsZero = true;
+  static constexpr bool kAIsMinus3 = false;
   static Field A() { return Fp2::Zero(); }
   static Field B();  // 3 / (9 + u), the D-twist constant.
 };

@@ -30,11 +30,15 @@ struct AffinePoint {
 //   using Field = ...;
 //   static Field A();
 //   static Field B();
-//   static constexpr bool kAIsZero;  // A() == 0: the a-terms compile away
+//   static constexpr bool kAIsZero;    // A() == 0: the a-terms compile away
+//   static constexpr bool kAIsMinus3;  // A() == -3: Double uses the a = -3 formula
+// Exactly one of the two holds: Double has a formula for each, none for
+// other values of a.
 template <typename Config>
 struct EcPoint {
   using Field = typename Config::Field;
   using ConfigType = Config;
+  static_assert(Config::kAIsZero != Config::kAIsMinus3, "Double supports a = 0 or a = -3");
 
   Field x;
   Field y;
@@ -87,15 +91,25 @@ struct EcPoint {
     if (IsInfinity()) {
       return *this;
     }
-    Field xx = x.Square();
     Field yy = y.Square();
     Field yyyy = yy.Square();
     Field zz = z.Square();
-    Field s = ((x + yy).Square() - xx - yyyy);
-    s = s + s;
-    Field m = xx + xx + xx;
-    if constexpr (!Config::kAIsZero) {
-      m = m + Config::A() * zz.Square();
+    Field s;  // 4 x y^2
+    Field m;  // 3 x^2 + a z^4
+    if constexpr (Config::kAIsMinus3) {
+      // dbl-2001-b: m = 3(x - z^2)(x + z^2) and s by one multiply, 3M + 5S.
+      // The generic formula with a = -3 computes the same field values, so
+      // the output is the same point representation.
+      s = x * yy;
+      s = s + s;
+      s = s + s;
+      m = (x - zz) * (x + zz);
+      m = m + m + m;
+    } else {
+      Field xx = x.Square();
+      s = ((x + yy).Square() - xx - yyyy);
+      s = s + s;
+      m = xx + xx + xx;
     }
     Field t = m.Square() - s - s;
     Field y3 = m * (s - t) - Eight(yyyy);

@@ -739,8 +739,8 @@ EcPoint<Config> MsmAffine(const std::vector<AffinePoint<Config>>& bases,
   return result.Add(MsmSignedAffine(b, k, cancel));
 }
 
-// Adapter for arbitrary-precision scalars (the verifier's public inputs,
-// tests, benchmarks): converts to limbs and runs the fixed-width MsmAffine.
+// Adapter for arbitrary-precision scalars (tests, benchmarks, perfbench's
+// trace probes): converts to limbs and runs the fixed-width MsmAffine.
 // On BN254 G1 (cofactor 1) scalars are reduced mod r first, so any size is
 // accepted; elsewhere a scalar must fit in 256 bits.
 template <typename Config>
@@ -763,24 +763,6 @@ EcPoint<Config> MsmAffine(const std::vector<AffinePoint<Config>>& bases,
     std::copy(k->limbs().begin(), k->limbs().end(), limbs[i].begin());
   }
   return MsmAffine(bases, limbs.data(), limbs.size(), cancel);
-}
-
-// Convenience wrapper for Jacobian inputs: one batch conversion, then the
-// fast affine kernel. Callers holding long-lived tables (the Groth16 proving
-// key) should store them affine and call MsmAffine directly.
-template <typename Point>
-Point Msm(const std::vector<Point>& bases, const std::vector<BigUInt>& scalars,
-          const CancellationToken* cancel = nullptr) {
-  using Config = typename Point::ConfigType;
-  // A size mismatch means the caller assembled its query/scalar vectors
-  // incorrectly -- a programming error on the trusted prover/verifier side,
-  // never a property of hostile input (parsers bound sizes before this).
-  NOPE_INVARIANT(bases.size() == scalars.size(),
-                 "Msm: bases/scalars size mismatch");
-  if (bases.empty()) {
-    return Point::Infinity();
-  }
-  return MsmAffine<Config>(BatchToAffine(bases), scalars, cancel);
 }
 
 }  // namespace nope

@@ -11,6 +11,7 @@ namespace nope {
 struct P256Config {
   using Field = P256Fq;
   static constexpr bool kAIsZero = false;
+  static constexpr bool kAIsMinus3 = true;
   static Field A() {
     static const Field a = Field::Zero() - Field::FromU64(3);
     return a;

@@ -221,6 +221,23 @@ void MontMulBatchAvx512(const uint64_t* a, const uint64_t* b, uint64_t* out,
   for (; g + 8 <= count; g += 8) {
     MontMulGroups<1>(a + 4 * g, b + 4 * g, out + 4 * g, pd, invv, mask32);
   }
+  // The kernel runs out of zmm16-31, which vzeroupper does not clear. Left
+  // non-zero, they slow the code that runs after the kernel for the rest of
+  // the process: one 8-element call made a later fleet simulation ~15%
+  // slower on the 4-core Xeon VM. Zeroing them, then vzeroupper for
+  // zmm0-15, ends that and changes no output.
+  asm volatile(
+      "vpxord %%zmm16, %%zmm16, %%zmm16\n\tvpxord %%zmm17, %%zmm17, %%zmm17\n\t"
+      "vpxord %%zmm18, %%zmm18, %%zmm18\n\tvpxord %%zmm19, %%zmm19, %%zmm19\n\t"
+      "vpxord %%zmm20, %%zmm20, %%zmm20\n\tvpxord %%zmm21, %%zmm21, %%zmm21\n\t"
+      "vpxord %%zmm22, %%zmm22, %%zmm22\n\tvpxord %%zmm23, %%zmm23, %%zmm23\n\t"
+      "vpxord %%zmm24, %%zmm24, %%zmm24\n\tvpxord %%zmm25, %%zmm25, %%zmm25\n\t"
+      "vpxord %%zmm26, %%zmm26, %%zmm26\n\tvpxord %%zmm27, %%zmm27, %%zmm27\n\t"
+      "vpxord %%zmm28, %%zmm28, %%zmm28\n\tvpxord %%zmm29, %%zmm29, %%zmm29\n\t"
+      "vpxord %%zmm30, %%zmm30, %%zmm30\n\tvpxord %%zmm31, %%zmm31, %%zmm31"
+      ::: "xmm16", "xmm17", "xmm18", "xmm19", "xmm20", "xmm21", "xmm22", "xmm23",
+          "xmm24", "xmm25", "xmm26", "xmm27", "xmm28", "xmm29", "xmm30", "xmm31");
+  _mm256_zeroupper();
 }
 
 }  // namespace fp_simd

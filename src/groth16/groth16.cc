@@ -212,6 +212,55 @@ std::vector<MsmScalar> ToStdLimbs(const std::vector<Fr>& values, size_t count,
   return out;
 }
 
+// Layout of PreparedVerifyingKey::ic_table: signed 4-bit digits
+// (msm_detail::SignedDigits), windows for any Fr (< 2^254) plus the carry
+// window, and the multiples 1..8 of each window's base 16^w * P.
+constexpr size_t kIcWindowBits = 4;
+constexpr size_t kIcWindows = (254 + kIcWindowBits - 1) / kIcWindowBits + 1;
+constexpr size_t kIcMultiples = size_t{1} << (kIcWindowBits - 1);
+constexpr size_t kIcPointsPerInput = kIcWindows * kIcMultiples;
+
+std::vector<G1Affine> BuildIcTable(const std::vector<G1>& ic) {
+  std::vector<G1> jac;
+  jac.reserve(ic.empty() ? 0 : (ic.size() - 1) * kIcPointsPerInput);
+  for (size_t j = 1; j < ic.size(); ++j) {
+    G1 window_base = ic[j];  // 16^w ic[j]
+    for (size_t w = 0; w < kIcWindows; ++w) {
+      // m * base: a doubling for even m, an addition for odd m.
+      const size_t first = jac.size();
+      jac.push_back(window_base);
+      for (size_t m = 2; m <= kIcMultiples; ++m) {
+        jac.push_back(m % 2 == 0 ? jac[first + m / 2 - 1].Double()
+                                 : jac[first + m - 2].Add(window_base));
+      }
+      window_base = jac.back().Double();  // 16 = 2 * 8
+    }
+  }
+  return BatchToAffine(jac);
+}
+
+// sum_j k_j ic[j+1] over the table, for standard-form scalars k_j
+// (pvk.vk.ic.size() - 1 of them).
+G1 IcTableSum(const PreparedVerifyingKey& pvk, const MsmScalar* scalars) {
+  const size_t inputs = pvk.vk.ic.size() - 1;
+  NOPE_INVARIANT(pvk.ic_table.size() == inputs * kIcPointsPerInput,
+                 "IcTableSum: the prepared key's IC table does not match its key");
+  G1 acc = G1::Infinity();
+  int32_t digits[kIcWindows] = {};
+  for (size_t j = 0; j < inputs; ++j) {
+    msm_detail::SignedDigits(scalars[j], kIcWindowBits, kIcWindows, digits);
+    const G1Affine* window = &pvk.ic_table[j * kIcPointsPerInput];
+    for (size_t w = 0; w < kIcWindows; ++w, window += kIcMultiples) {
+      if (digits[w] > 0) {
+        acc = acc.AddMixed(window[digits[w] - 1]);
+      } else if (digits[w] < 0) {
+        acc = acc.AddMixed(window[-digits[w] - 1].Negate());
+      }
+    }
+  }
+  return acc;
+}
+
 Fr RandomNonZero(Rng* rng) {
   while (true) {
     Fr v = Fr::Random(rng);
@@ -557,15 +606,11 @@ bool ProofPointsOk(const Proof& proof) {
   return G2InSubgroup(proof.b);
 }
 
-// [IC]1 = ic[0] + sum_j x_j ic[j+1], the public-input linear combination.
+// [IC]1 = ic[0] + sum_j x_j ic[j+1] for an unprepared key: one MSM.
 G1 IcCombination(const VerifyingKey& vk, const std::vector<Fr>& public_inputs) {
   std::vector<G1> bases(vk.ic.begin() + 1, vk.ic.end());
-  std::vector<BigUInt> scalars;
-  scalars.reserve(public_inputs.size());
-  for (const Fr& x : public_inputs) {
-    scalars.push_back(x.ToBigUInt());
-  }
-  return vk.ic[0].Add(Msm(bases, scalars));
+  std::vector<MsmScalar> scalars = ToStdLimbs(public_inputs, public_inputs.size(), nullptr);
+  return vk.ic[0].Add(MsmAffine(BatchToAffine(bases), scalars.data(), scalars.size()));
 }
 
 }  // namespace
@@ -588,16 +633,25 @@ bool Verify(const VerifyingKey& vk, const std::vector<Fr>& public_inputs, const 
 
 size_t PreparedVerifyingKey::SizeBytes() const {
   return sizeof(*this) + vk.ic.capacity() * sizeof(G1) +
-         gamma_prep.SizeBytes() + delta_prep.SizeBytes();
+         ic_table.capacity() * sizeof(G1Affine) + gamma_prep.SizeBytes() +
+         delta_prep.SizeBytes();
 }
 
 PreparedVerifyingKey PrepareVerifyingKey(const VerifyingKey& vk) {
   PreparedVerifyingKey pvk;
   pvk.vk = vk;
+  pvk.ic_table = BuildIcTable(vk.ic);
   pvk.gamma_prep = PrepareG2(vk.gamma_g2);
   pvk.delta_prep = PrepareG2(vk.delta_g2);
   pvk.alpha_beta = Pairing(vk.alpha_g1, vk.beta_g2);
   return pvk;
+}
+
+G1 PreparedIcSum(const PreparedVerifyingKey& pvk, const std::vector<Fr>& public_inputs) {
+  NOPE_INVARIANT(public_inputs.size() + 1 == pvk.vk.ic.size(),
+                 "PreparedIcSum: input count does not match the key");
+  std::vector<MsmScalar> scalars = ToStdLimbs(public_inputs, public_inputs.size(), nullptr);
+  return pvk.vk.ic[0].Add(IcTableSum(pvk, scalars.data()));
 }
 
 bool Verify(const PreparedVerifyingKey& pvk, const std::vector<Fr>& public_inputs,
@@ -608,7 +662,7 @@ bool Verify(const PreparedVerifyingKey& pvk, const std::vector<Fr>& public_input
   if (!ProofPointsOk(proof)) {
     return false;
   }
-  G1 ic = IcCombination(pvk.vk, public_inputs);
+  G1 ic = PreparedIcSum(pvk, public_inputs);
 
   // e(A, B) e(-IC, gamma) e(-C, delta) = e(alpha, beta), the unprepared
   // equation with the constant factor moved to the right-hand side (exact
@@ -655,31 +709,25 @@ BatchVerifyResult BatchVerify(const PreparedVerifyingKey& pvk,
   }
 
   // Aggregate the fixed-G2 sides in the exponent (cheap Fr arithmetic), so
-  // the whole batch pays one IC MSM, one C MSM and two prepared pairs in
-  // the multi-Miller loop:
+  // the whole batch pays one IC table sum, one C MSM and two prepared pairs
+  // in the multi-Miller loop:
   //   prod_i e(A_i, B_i)^{z_i}
-  //     = e(alpha, beta)^{sum z_i} e(sum z_i IC_i, gamma) e(sum z_i C_i, delta).
-  std::vector<Fr> ic_scalars(pvk.vk.ic.size(), Fr::Zero());
+  //     = e(alpha, beta)^{sum z_i} e(sum z_i IC_i, gamma) e(sum z_i C_i, delta),
+  // with sum z_i IC_i = (sum z_i) ic[0] + sum_j (sum_i z_i x_ij) ic[j+1].
+  std::vector<Fr> ic_scalars(pvk.vk.ic.size() - 1, Fr::Zero());
   std::vector<G1> c_bases;
-  std::vector<BigUInt> c_scalars;
   c_bases.reserve(candidates.size());
-  c_scalars.reserve(candidates.size());
   for (size_t k = 0; k < candidates.size(); ++k) {
     const BatchEntry& e = batch[candidates[k]];
-    ic_scalars[0] = ic_scalars[0] + z[k];
     for (size_t j = 0; j < e.public_inputs.size(); ++j) {
-      ic_scalars[j + 1] = ic_scalars[j + 1] + z[k] * e.public_inputs[j];
+      ic_scalars[j] = ic_scalars[j] + z[k] * e.public_inputs[j];
     }
     c_bases.push_back(e.proof.c);
-    c_scalars.push_back(z[k].ToBigUInt());
   }
-  std::vector<BigUInt> ic_big;
-  ic_big.reserve(ic_scalars.size());
-  for (const Fr& s : ic_scalars) {
-    ic_big.push_back(s.ToBigUInt());
-  }
-  G1 ic_agg = Msm(pvk.vk.ic, ic_big);
-  G1 c_agg = Msm(c_bases, c_scalars);
+  std::vector<MsmScalar> ic_limbs = ToStdLimbs(ic_scalars, ic_scalars.size(), nullptr);
+  std::vector<MsmScalar> z_limbs = ToStdLimbs(z, z.size(), nullptr);
+  G1 ic_agg = pvk.vk.ic[0].ScalarMul(z_sum.ToBigUInt()).Add(IcTableSum(pvk, ic_limbs.data()));
+  G1 c_agg = MsmAffine(BatchToAffine(c_bases), z_limbs.data(), z_limbs.size());
 
   std::vector<G2Prepared> b_prep;
   b_prep.reserve(candidates.size());

@@ -61,17 +61,30 @@ struct VerifyingKey {
 // every input (asserted by the mutation harness): the checks differ only by
 // moving the constant e(alpha, beta) to the right-hand side, which is exact,
 // not probabilistic.
+//
+// The public-input bases ic[1..] are fixed too, so their sum runs on a
+// fixed-base table: for each base P and each of 65 windows w, the multiples
+// m * 16^w * P for m = 1..8, affine. A scalar recoded into signed 4-bit
+// digits (any Fr value, < 2^254) then costs one mixed addition per nonzero
+// digit and no doubling. 520 points per input: 256 KB for the 7-input NOPE
+// key.
 struct PreparedVerifyingKey {
-  VerifyingKey vk;        // for the IC combination
-  G2Prepared gamma_prep;  // lines for gamma_g2
-  G2Prepared delta_prep;  // lines for delta_g2
-  Fp12 alpha_beta;        // e(alpha_g1, beta_g2)
+  VerifyingKey vk;                  // ic[0] and the plain key
+  std::vector<G1Affine> ic_table;   // [input][window][multiple - 1]
+  G2Prepared gamma_prep;            // lines for gamma_g2
+  G2Prepared delta_prep;            // lines for delta_g2
+  Fp12 alpha_beta;                  // e(alpha_g1, beta_g2)
 
   // Resident footprint (the proving service's key-cache byte budget).
   size_t SizeBytes() const;
 };
 
 PreparedVerifyingKey PrepareVerifyingKey(const VerifyingKey& vk);
+
+// [IC]1 = ic[0] + sum_j x_j ic[j+1], the public-input term of the pairing
+// product, from the prepared key's table. Any Fr inputs; public_inputs must
+// hold pvk.vk.ic.size() - 1 of them.
+G1 PreparedIcSum(const PreparedVerifyingKey& pvk, const std::vector<Fr>& public_inputs);
 
 struct ProvingKey {
   // The verifying key, prepared at Setup; pvk.vk is the key's only copy of

@@ -1,17 +1,26 @@
 #include "src/sig/ecdsa.h"
 
+#include <algorithm>
+#include <array>
+#include <cstdlib>
 #include <stdexcept>
+#include <vector>
 
 #include "src/base/hmac.h"
 #include "src/base/sha256.h"
+#include "src/ec/batch_affine.h"
+#include "src/ec/msm.h"
 
 namespace nope {
 
 namespace {
 
-BigUInt DigestToScalar(const Bytes& digest) {
-  // P-256's order is 256 bits, so the full digest is used (no truncation).
-  return BigUInt::FromBytes(digest) % P256Order();
+using P256Affine = AffinePoint<P256Config>;
+
+// The digest as a scalar mod n. P-256's order is 256 bits, so the full
+// digest is used (no truncation).
+P256Fn DigestToScalar(const Bytes& digest) {
+  return P256Fn::FromBigUInt(BigUInt::FromBytes(digest));
 }
 
 // sqrt in P-256's base field (p == 3 mod 4): a^((p+1)/4).
@@ -23,6 +32,102 @@ bool SqrtP256(const P256Fq& a, P256Fq* out) {
   }
   *out = r;
   return true;
+}
+
+// --- u1*G + u2*Q -------------------------------------------------------------
+//
+// Window widths of the two recodings. G's odd multiples are one static
+// table, so its window is wider than Q's, whose table is built per call.
+constexpr size_t kGWindow = 7;  // G, 3G, ..., 63G: 32 affine points
+constexpr size_t kQWindow = 5;  // Q, 3Q, ..., 15Q: 8 Jacobian points
+
+// Bit positions a recoded scalar below 2^256 can reach: the top window of
+// SignedDigits holds at most a carry of 1, at bit c * ceil(256 / c) < 256 + c.
+constexpr size_t kDigitSlots = 256 + std::max(kGWindow, kQWindow);
+
+// Recodes k into odd signed digits: out[i] is zero or odd, and
+// k == sum_i out[i] * 2^i. SignedDigits gives one digit d in
+// [-2^(c-1), 2^(c-1)) per c-bit window; an even d == d' * 2^t moves t bits
+// up as its odd part d', so a table needs only the odd multiples
+// 1, 3, ..., 2^(c-1) - 1 of its point.
+std::array<int8_t, kDigitSlots> OddDigits(const MsmScalar& k, size_t c) {
+  const size_t windows = (256 + c - 1) / c + 1;
+  int32_t digits[256 / 2 + 2] = {};
+  msm_detail::SignedDigits(k, c, windows, digits);
+  std::array<int8_t, kDigitSlots> out{};
+  for (size_t w = 0; w < windows; ++w) {
+    if (digits[w] != 0) {
+      const int t = __builtin_ctz(static_cast<unsigned>(std::abs(digits[w])));
+      out[w * c + t] = static_cast<int8_t>(digits[w] >> t);
+    }
+  }
+  return out;
+}
+
+// p, 3p, ..., (2^(c-1) - 1) p.
+std::vector<P256Point> OddMultiples(const P256Point& p, size_t c) {
+  std::vector<P256Point> out(size_t{1} << (c - 2));
+  const P256Point twice = p.Double();
+  out[0] = p;
+  for (size_t i = 1; i < out.size(); ++i) {
+    out[i] = out[i - 1].Add(twice);
+  }
+  return out;
+}
+
+// The odd multiples of G, affine (one BatchToAffine on first use), shared by
+// verification, signing and key generation.
+const std::vector<P256Affine>& GeneratorTable() {
+  static const std::vector<P256Affine> table =
+      BatchToAffine(OddMultiples(P256Generator(), kGWindow));
+  return table;
+}
+
+// u1*G + u2*Q in one Straus-Shamir loop: each bit costs one shared doubling
+// (the a = -3 formula), then the odd digits of u1 and u2 at that bit add
+// their table entries, G's by mixed addition. u2 == 0 skips Q's table, so
+// u1*G alone costs the same loop.
+P256Point MulAdd(const MsmScalar& u1, const MsmScalar& u2, const P256Point& q) {
+  const std::array<int8_t, kDigitSlots> dg = OddDigits(u1, kGWindow);
+  const std::array<int8_t, kDigitSlots> dq = OddDigits(u2, kQWindow);
+  const std::vector<P256Affine>& g_odd = GeneratorTable();
+  std::vector<P256Point> q_odd;
+  if ((u2[0] | u2[1] | u2[2] | u2[3]) != 0) {
+    q_odd = OddMultiples(q, kQWindow);
+  }
+  P256Point acc = P256Point::Infinity();
+  for (size_t i = kDigitSlots; i-- > 0;) {
+    acc = acc.Double();
+    if (dg[i] > 0) {
+      acc = acc.AddMixed(g_odd[dg[i] >> 1]);
+    } else if (dg[i] < 0) {
+      acc = acc.AddMixed(g_odd[-dg[i] >> 1].Negate());
+    }
+    if (dq[i] > 0) {
+      acc = acc.Add(q_odd[dq[i] >> 1]);
+    } else if (dq[i] < 0) {
+      acc = acc.Add(q_odd[-dq[i] >> 1].Negate());
+    }
+  }
+  return acc;
+}
+
+P256Point MulGenerator(const BigUInt& k) {
+  return MulAdd(fp_detail::ToLimbs(k), MsmScalar{}, P256Point::Infinity());
+}
+
+// x(R) mod n == r, without inverting Z. x(R) = X / Z^2 lies in [0, p) and
+// p < 2n, so x(R) mod n == r iff X == r Z^2, or X == (r + n) Z^2 where
+// r + n < p. Requires 0 < r < n and R finite.
+bool XMatches(const P256Point& rp, const BigUInt& r) {
+  static const BigUInt p_minus_n = P256Fq::params().modulus_big - P256Order();
+  static const P256Fq n_fq = P256Fq::FromBigUInt(P256Order());
+  const P256Fq zz = rp.z.Square();
+  const P256Fq r_fq = P256Fq::FromBigUInt(r);
+  if (r_fq * zz == rp.x) {
+    return true;
+  }
+  return r < p_minus_n && (r_fq + n_fq) * zz == rp.x;
 }
 
 }  // namespace
@@ -80,8 +185,7 @@ EcdsaSignature EcdsaSignature::Decode(const Bytes& encoded) {
 
 EcdsaKeyPair GenerateEcdsaKey(Rng* rng) {
   BigUInt d = BigUInt::RandomBelow(rng, P256Order() - BigUInt(1)) + BigUInt(1);
-  P256Point q = P256Generator().ScalarMul(d);
-  return EcdsaKeyPair{EcdsaPrivateKey{d}, EcdsaPublicKey{q}};
+  return EcdsaKeyPair{EcdsaPrivateKey{d}, EcdsaPublicKey{MulGenerator(d)}};
 }
 
 BigUInt Rfc6979Nonce(const BigUInt& d, const Bytes& digest) {
@@ -121,16 +225,16 @@ BigUInt Rfc6979Nonce(const BigUInt& d, const Bytes& digest) {
 EcdsaSignature EcdsaSign(const EcdsaPrivateKey& key, const Bytes& message) {
   const BigUInt& n = P256Order();
   Bytes digest = Sha256::Hash(message);
-  BigUInt z = DigestToScalar(digest);
+  const P256Fn z = DigestToScalar(digest);
+  const P256Fn d = P256Fn::FromBigUInt(key.d);
 
   BigUInt k = Rfc6979Nonce(key.d, digest);
   while (true) {
-    P256Point rp = P256Generator().ScalarMul(k);
-    BigUInt r = rp.ToAffine().x.ToBigUInt() % n;
+    BigUInt r = MulGenerator(k).ToAffine().x.ToBigUInt() % n;
     if (!r.IsZero()) {
-      BigUInt s = k.InvMod(n).MulMod(z + r.MulMod(key.d, n), n);
+      P256Fn s = P256Fn::FromBigUInt(k).Inverse() * (z + P256Fn::FromBigUInt(r) * d);
       if (!s.IsZero()) {
-        return EcdsaSignature{r, s};
+        return EcdsaSignature{r, s.ToBigUInt()};
       }
     }
     // Vanishing r or s is astronomically unlikely; perturb deterministically.
@@ -151,15 +255,12 @@ bool EcdsaVerifyDigest(const EcdsaPublicKey& key, const Bytes& digest32,
   if (key.q.IsInfinity() || !key.q.IsOnCurve()) {
     return false;
   }
-  BigUInt z = DigestToScalar(digest32);
-  BigUInt s_inv = sig.s.InvMod(n);
-  BigUInt h0 = z.MulMod(s_inv, n);
-  BigUInt h1 = sig.r.MulMod(s_inv, n);
-  P256Point rp = P256Generator().ScalarMul(h0).Add(key.q.ScalarMul(h1));
-  if (rp.IsInfinity()) {
-    return false;
-  }
-  return rp.ToAffine().x.ToBigUInt() % n == sig.r;
+  const P256Fn s_inv = P256Fn::FromBigUInt(sig.s).Inverse();
+  const P256Fn u[2] = {DigestToScalar(digest32) * s_inv, P256Fn::FromBigUInt(sig.r) * s_inv};
+  MsmScalar limbs[2] = {};
+  P256Fn::ToStdLimbsBatch(u, limbs, 2);
+  const P256Point rp = MulAdd(limbs[0], limbs[1], key.q);
+  return !rp.IsInfinity() && XMatches(rp, sig.r);
 }
 
 GlvSideInfo ComputeGlvSideInfo(const BigUInt& h1) {
@@ -186,10 +287,9 @@ bool EcdsaVerifyGlv(const EcdsaPublicKey& key, const Bytes& message, const Ecdsa
   if (sig.r.IsZero() || sig.s.IsZero() || sig.r >= n || sig.s >= n) {
     return false;
   }
-  BigUInt z = DigestToScalar(Sha256::Hash(message));
-  BigUInt s_inv = sig.s.InvMod(n);
-  BigUInt h0 = z.MulMod(s_inv, n);
-  BigUInt h1 = sig.r.MulMod(s_inv, n);
+  const P256Fn s_inv = P256Fn::FromBigUInt(sig.s).Inverse();
+  BigUInt h0 = (DigestToScalar(Sha256::Hash(message)) * s_inv).ToBigUInt();
+  BigUInt h1 = (P256Fn::FromBigUInt(sig.r) * s_inv).ToBigUInt();
 
   GlvSideInfo side = ComputeGlvSideInfo(h1);
 

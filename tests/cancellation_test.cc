@@ -161,9 +161,9 @@ TEST(Msm, QuietTokenBitIdenticalToPlainCall) {
     p = p.Add(G1Generator());
     scalars.push_back(BigUInt::RandomBelow(&rng, Bn254Order()));
   }
-  G1 plain = Msm(bases, scalars);
+  G1 plain = MsmAffine(BatchToAffine(bases), scalars);
   CancellationToken quiet;
-  G1 with_token = Msm(bases, scalars, &quiet);
+  G1 with_token = MsmAffine(BatchToAffine(bases), scalars, &quiet);
   EXPECT_TRUE(plain.Equals(with_token));
 }
 
@@ -183,9 +183,9 @@ TEST(Msm, CancelledTokenReturnsWithoutCompleting) {
   CancellationToken token = source.token();
   // The result is garbage by contract; the call must simply return and leave
   // the pool healthy. Nothing to assert about the value itself.
-  (void)Msm(bases, scalars, &token);
-  G1 sane = Msm(bases, scalars);
-  EXPECT_TRUE(sane.Equals(Msm(bases, scalars)));
+  (void)MsmAffine(BatchToAffine(bases), scalars, &token);
+  G1 sane = MsmAffine(BatchToAffine(bases), scalars);
+  EXPECT_TRUE(sane.Equals(MsmAffine(BatchToAffine(bases), scalars)));
 }
 
 TEST(Fft, QuietTokenBitIdenticalToPlainCall) {

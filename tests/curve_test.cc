@@ -74,7 +74,7 @@ TEST(Msm, MatchesNaiveSum) {
       scalars.push_back(k);
       expected = expected.Add(p.ScalarMul(k));
     }
-    EXPECT_TRUE(Msm(bases, scalars).Equals(expected)) << "n=" << n;
+    EXPECT_TRUE(MsmAffine(BatchToAffine(bases), scalars).Equals(expected)) << "n=" << n;
   }
 }
 
@@ -82,11 +82,12 @@ TEST(Msm, HandlesZeroScalarsAndInfinity) {
   std::vector<G1> bases = {G1Generator(), G1::Infinity(), G1Generator().Double()};
   std::vector<BigUInt> scalars = {BigUInt(), BigUInt(7), BigUInt(3)};
   G1 expected = G1Generator().Double().ScalarMul(BigUInt(3));
-  EXPECT_TRUE(Msm(bases, scalars).Equals(expected));
-  EXPECT_TRUE(Msm<G1>({}, {}).IsInfinity());
+  EXPECT_TRUE(MsmAffine(BatchToAffine(bases), scalars).Equals(expected));
+  EXPECT_TRUE(MsmAffine(std::vector<G1Affine>{}, std::vector<BigUInt>{}).IsInfinity());
   // Size mismatches are programming errors: Msm aborts via NOPE_INVARIANT
   // instead of throwing (the library is exception-free, see result.h).
-  EXPECT_DEATH(Msm<G1>({G1Generator()}, {}), "bases/scalars size mismatch");
+  EXPECT_DEATH(MsmAffine(std::vector<G1Affine>{G1Generator().ToAffine()}, std::vector<BigUInt>{}),
+               "bases/scalars size mismatch");
 }
 
 TEST(EcPoint, AffineRoundTrip) {

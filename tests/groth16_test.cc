@@ -201,6 +201,62 @@ TEST(Groth16, LargerRandomCircuit) {
   EXPECT_FALSE(groth16::Verify(pk.vk(), {acc_val + Fr::One()}, proof));
 }
 
+// A verifying key with `inputs` public inputs on random ic points; the
+// other fields only feed the pairing that PrepareVerifyingKey precomputes.
+groth16::VerifyingKey RandomIcKey(Rng* rng, size_t inputs) {
+  groth16::VerifyingKey vk{G1Generator(), G2Generator(), G2Generator(), G2Generator(), {}};
+  for (size_t j = 0; j <= inputs; ++j) {
+    vk.ic.push_back(G1Generator().ScalarMul(BigUInt::RandomBelow(rng, Bn254Order())));
+  }
+  return vk;
+}
+
+TEST(PreparedIcSum, MatchesNaiveSumOnEveryWidth) {
+  Rng rng(609);
+  const BigUInt one(1);
+  const std::vector<Fr> special = {
+      Fr::Zero(),
+      Fr::One(),
+      -Fr::One(),  // r - 1
+      Fr::FromBigUInt((one << 64) - one),
+      Fr::FromBigUInt(one << 64),
+      Fr::FromBigUInt((one << 64) + one),
+      Fr::FromBigUInt((one << 128) - one),
+      Fr::FromBigUInt(one << 128),
+      Fr::FromBigUInt((one << 128) + one),
+  };
+  for (size_t inputs = 1; inputs <= 8; ++inputs) {
+    groth16::VerifyingKey vk = RandomIcKey(&rng, inputs);
+    groth16::PreparedVerifyingKey pvk = groth16::PrepareVerifyingKey(vk);
+    for (size_t round = 0; round < special.size() + 3; ++round) {
+      std::vector<Fr> x(inputs);
+      for (size_t j = 0; j < inputs; ++j) {
+        // Each special value visits every slot; the last rounds are random.
+        x[j] = round < special.size() ? special[(round + j) % special.size()] : Fr::Random(&rng);
+      }
+      G1 want = vk.ic[0];
+      for (size_t j = 0; j < inputs; ++j) {
+        want = want.Add(vk.ic[j + 1].ScalarMul(x[j].ToBigUInt()));
+      }
+      EXPECT_TRUE(groth16::PreparedIcSum(pvk, x).Equals(want))
+          << "inputs=" << inputs << " round=" << round;
+    }
+  }
+}
+
+TEST(PreparedIcSum, SizeBytesCountsTheTable) {
+  Rng rng(610);
+  groth16::PreparedVerifyingKey pvk = groth16::PrepareVerifyingKey(RandomIcKey(&rng, 7));
+  // 65 windows of 8 multiples per input; the NOPE key's 7 inputs fit in
+  // 320 KB.
+  EXPECT_EQ(pvk.ic_table.size(), 7u * 65u * 8u);
+  const size_t table_bytes = pvk.ic_table.capacity() * sizeof(G1Affine);
+  EXPECT_LE(table_bytes, 320u * 1024u);
+  groth16::PreparedVerifyingKey bare = pvk;
+  bare.ic_table = std::vector<G1Affine>();  // move-assign: frees the capacity too
+  EXPECT_EQ(pvk.SizeBytes(), bare.SizeBytes() + table_bytes);
+}
+
 TEST(Domain, FftRoundTrip) {
   EvaluationDomain d(13);
   EXPECT_EQ(d.size(), 16u);

@@ -281,7 +281,7 @@ TEST(MsmKernel, MatchesNaiveOnAdversarialInputs) {
     std::vector<BigUInt> scalars;
     FillAdversarial(&rng, n, &bases, &scalars);
     G1 want = NaiveMsm(bases, scalars);
-    EXPECT_TRUE(Msm(bases, scalars).Equals(want)) << "n=" << n;
+    EXPECT_TRUE(MsmAffine(BatchToAffine(bases), scalars).Equals(want)) << "n=" << n;
     const std::vector<MsmScalar> limbs = ToLimbs(scalars);
     EXPECT_TRUE(MsmAffine(BatchToAffine(bases), limbs.data(), n).Equals(want))
         << "n=" << n;
@@ -297,21 +297,21 @@ TEST(MsmKernel, MatchesNaiveAt4096) {
   for (size_t i = 0; i < n; ++i) {
     scalars.push_back(BigUInt::RandomBelow(&rng, Bn254Order()));
   }
-  EXPECT_TRUE(Msm(bases, scalars).Equals(NaiveMsm(bases, scalars)));
+  EXPECT_TRUE(MsmAffine(BatchToAffine(bases), scalars).Equals(NaiveMsm(bases, scalars)));
 }
 
 TEST(MsmKernel, AllZeroScalarsAndAllInfinityBases) {
   Rng rng(71);
   std::vector<G1> bases = RandomG1Bases(&rng, 600);
   std::vector<BigUInt> zeros(600);
-  EXPECT_TRUE(Msm(bases, zeros).IsInfinity());
+  EXPECT_TRUE(MsmAffine(BatchToAffine(bases), zeros).IsInfinity());
 
   std::vector<G1> inf(600, G1::Infinity());
   std::vector<BigUInt> scalars;
   for (size_t i = 0; i < 600; ++i) {
     scalars.push_back(BigUInt::RandomBelow(&rng, Bn254Order()));
   }
-  EXPECT_TRUE(Msm(inf, scalars).IsInfinity());
+  EXPECT_TRUE(MsmAffine(BatchToAffine(inf), scalars).IsInfinity());
 }
 
 // The signed kernel must treat scalars as plain integers (no mod-r
@@ -330,7 +330,7 @@ TEST(MsmKernel, G2MatchesNaive) {
     scalars.push_back(i == 0 ? BigUInt() : BigUInt::RandomBelow(&rng, Bn254Order()));
   }
   G2 want = NaiveMsm(bases, scalars);
-  EXPECT_TRUE(Msm(bases, scalars).Equals(want));
+  EXPECT_TRUE(MsmAffine(BatchToAffine(bases), scalars).Equals(want));
   EXPECT_TRUE(MsmSignedAffine(BatchToAffine(bases), ToLimbs(scalars)).Equals(want));
 }
 
@@ -346,10 +346,10 @@ TEST(MsmKernel, ScalarsAboveGroupOrder) {
   scalars.push_back(r * BigUInt(3));     // == 0
   scalars.push_back(r + r - BigUInt(1)); // == r - 1
   scalars.push_back(BigUInt::RandomBelow(&rng, r) + r);
-  EXPECT_TRUE(Msm(bases, scalars).Equals(NaiveMsm(bases, scalars)));
+  EXPECT_TRUE(MsmAffine(BatchToAffine(bases), scalars).Equals(NaiveMsm(bases, scalars)));
 }
 
-TEST(MsmKernel, MsmAffineMatchesMsmOnJacobianInputs) {
+TEST(MsmKernel, BigUIntAdapterMatchesLimbEntryPoint) {
   Rng rng(101);
   const size_t n = 700;
   std::vector<G1> bases = RandomG1Bases(&rng, n);
@@ -357,20 +357,15 @@ TEST(MsmKernel, MsmAffineMatchesMsmOnJacobianInputs) {
   for (size_t i = 0; i < n; ++i) {
     scalars.push_back(BigUInt::RandomBelow(&rng, Bn254Order()));
   }
-  G1 via_wrapper = Msm(bases, scalars);
-  G1 via_affine = MsmAffine(BatchToAffine(bases), scalars);
-  // Identical code path underneath: results are bit-identical, not merely
-  // equal as group elements.
-  EXPECT_EQ(via_wrapper.x, via_affine.x);
-  EXPECT_EQ(via_wrapper.y, via_affine.y);
-  EXPECT_EQ(via_wrapper.z, via_affine.z);
-  EXPECT_TRUE(via_wrapper.Equals(NaiveMsm(bases, scalars)));
-  // The BigUInt adapter is a conversion in front of the limb entry point.
+  G1 via_adapter = MsmAffine(BatchToAffine(bases), scalars);
+  EXPECT_TRUE(via_adapter.Equals(NaiveMsm(bases, scalars)));
+  // The BigUInt adapter is a conversion in front of the limb entry point:
+  // the results are bit-identical, not merely equal as group elements.
   const std::vector<MsmScalar> limbs = ToLimbs(scalars);
   G1 via_limbs = MsmAffine(BatchToAffine(bases), limbs.data(), n);
-  EXPECT_EQ(via_limbs.x, via_affine.x);
-  EXPECT_EQ(via_limbs.y, via_affine.y);
-  EXPECT_EQ(via_limbs.z, via_affine.z);
+  EXPECT_EQ(via_limbs.x, via_adapter.x);
+  EXPECT_EQ(via_limbs.y, via_adapter.y);
+  EXPECT_EQ(via_limbs.z, via_adapter.z);
 }
 
 // --- Density split -------------------------------------------------------------

@@ -70,10 +70,10 @@ TEST_F(ParallelDeterminism, MsmG1BitIdenticalAcrossThreadCounts) {
       scalars.push_back(BigUInt::RandomBelow(&rng, Bn254Order()));
     }
     ThreadPool::SetGlobalThreads(1);
-    G1 reference = Msm(bases, scalars);
+    G1 reference = MsmAffine(BatchToAffine(bases), scalars);
     for (size_t t : ThreadCounts()) {
       ThreadPool::SetGlobalThreads(t);
-      G1 got = Msm(bases, scalars);
+      G1 got = MsmAffine(BatchToAffine(bases), scalars);
       EXPECT_TRUE(PointRepEq(reference, got)) << "n=" << n << " threads=" << t;
     }
   }
@@ -91,10 +91,10 @@ TEST_F(ParallelDeterminism, MsmG2BitIdenticalAcrossThreadCounts) {
       scalars.push_back(BigUInt::RandomBelow(&rng, Bn254Order()));
     }
     ThreadPool::SetGlobalThreads(1);
-    G2 reference = Msm(bases, scalars);
+    G2 reference = MsmAffine(BatchToAffine(bases), scalars);
     for (size_t t : ThreadCounts()) {
       ThreadPool::SetGlobalThreads(t);
-      EXPECT_TRUE(PointRepEq(reference, Msm(bases, scalars)))
+      EXPECT_TRUE(PointRepEq(reference, MsmAffine(BatchToAffine(bases), scalars)))
           << "n=" << n << " threads=" << t;
     }
   }

@@ -1,22 +1,29 @@
 // Prints FNV-1a digests of (a) a seeded 512-point G1 MSM's affine result,
 // (b) a seeded Groth16 proof's 128-byte encoding, (c) a seeded chain of
-// FFTs and (d) seeded witness-shaped G1 and G2 MSMs (tests/witness_mix.h:
+// FFTs, (d) seeded witness-shaped G1 and G2 MSMs (tests/witness_mix.h:
 // mostly zero and one scalars, so every part of MsmAffine's density split
-// runs). Not a gtest: ci.sh runs this binary under different NOPE_SIMD /
-// NOPE_THREADS environments and diffs the stdout, pinning the cross-process
-// determinism contract (proof and transform bytes bit-identical across SIMD
-// backends and thread counts). The env is read once per process, so the
-// comparison must span processes. Every build and backend prints
+// runs), (e) seeded P-256 keys, RFC 6979 signatures and verdicts and (f) a
+// seeded prepared key's public-input sums. (e) and (f) run on tables built
+// by BatchToAffine: the odd multiples of P-256's generator and the prepared
+// key's IC table. Not a gtest: ci.sh runs this binary under different
+// NOPE_SIMD / NOPE_THREADS environments and diffs the stdout, pinning the
+// cross-process determinism contract (proof and transform bytes
+// bit-identical across SIMD backends and thread counts). The env is read
+// once per process, so the comparison must span processes. Every build and
+// backend prints
 //   msm_digest=c31aa84fae27c583
 //   proof_digest=4de343c1606a9c77
 //   fft_digest=b8b5a41a944a3c13
 //   witness_msm_digest=422eb994f89fcbc6
+//   ecdsa_digest=3e5d18f1239d01f3
+//   ic_digest=b2beb92e028cc3c0
 #include <cstdint>
 #include <cstdio>
 
 #include "src/ec/batch_affine.h"
 #include "src/ec/msm.h"
 #include "src/groth16/groth16.h"
+#include "src/sig/ecdsa.h"
 #include "tests/witness_mix.h"
 
 namespace nope {
@@ -40,7 +47,7 @@ uint64_t MsmDigest() {
     acc = acc.Double().Add(G1Generator());
     scalars[i] = BigUInt::RandomBelow(&rng, Fr::params().modulus_big);
   }
-  G1Affine res = Msm(bases, scalars).ToAffine();
+  G1Affine res = MsmAffine(BatchToAffine(bases), scalars).ToAffine();
   Bytes enc = res.x.ToBigUInt().ToBytes(32);
   Bytes enc_y = res.y.ToBigUInt().ToBytes(32);
   uint64_t h = Fnv1a(enc.data(), enc.size());
@@ -116,6 +123,49 @@ uint64_t FftDigest() {
   return h;
 }
 
+// Keys, signatures and verdicts on the message and on a corrupted copy.
+uint64_t EcdsaDigest() {
+  Rng rng(190019);
+  uint64_t h = 0xcbf29ce484222325ull;
+  for (int i = 0; i < 24; ++i) {
+    EcdsaKeyPair kp = GenerateEcdsaKey(&rng);
+    Bytes msg = rng.NextBytes(48);
+    EcdsaSignature sig = EcdsaSign(kp.priv, msg);
+    Bytes bad = msg;
+    bad[i] ^= 1;
+    Bytes enc = kp.pub.Encode();
+    AppendBytes(&enc, sig.Encode());
+    enc.push_back(EcdsaVerify(kp.pub, msg, sig) ? 1 : 0);
+    enc.push_back(EcdsaVerify(kp.pub, bad, sig) ? 1 : 0);
+    h = Fnv1a(enc.data(), enc.size(), h);
+  }
+  return h;
+}
+
+// ic[0] + sum_j x_j ic[j+1] for an 8-input key, on inputs of every width:
+// 0, 1, r - 1, 2^64 + 1, 2^128 - 1 and random full-width values.
+uint64_t IcDigest() {
+  Rng rng(190020);
+  groth16::VerifyingKey vk{G1Generator(), G2Generator(), G2Generator(), G2Generator(), {}};
+  for (int j = 0; j < 9; ++j) {
+    vk.ic.push_back(G1Generator().ScalarMul(BigUInt::RandomBelow(&rng, Bn254Order())));
+  }
+  const groth16::PreparedVerifyingKey pvk = groth16::PrepareVerifyingKey(vk);
+  const std::vector<Fr> special = {
+      Fr::Zero(), Fr::One(), -Fr::One(), Fr::FromBigUInt((BigUInt(1) << 64) + BigUInt(1)),
+      Fr::FromBigUInt((BigUInt(1) << 128) - BigUInt(1))};
+  uint64_t h = 0xcbf29ce484222325ull;
+  for (int round = 0; round < 4; ++round) {
+    std::vector<Fr> x(8);
+    for (size_t j = 0; j < x.size(); ++j) {
+      x[j] = (j + round) % 3 == 0 ? Fr::Random(&rng) : special[(j + round) % special.size()];
+    }
+    G1Affine res = groth16::PreparedIcSum(pvk, x).ToAffine();
+    h = FieldDigest(res.y, FieldDigest(res.x, h));
+  }
+  return h;
+}
+
 }  // namespace
 }  // namespace nope
 
@@ -131,5 +181,9 @@ int main() {
               static_cast<unsigned long long>(nope::FftDigest()));
   std::printf("witness_msm_digest=%016llx\n",
               static_cast<unsigned long long>(nope::WitnessMsmDigest()));
+  std::printf("ecdsa_digest=%016llx\n",
+              static_cast<unsigned long long>(nope::EcdsaDigest()));
+  std::printf("ic_digest=%016llx\n",
+              static_cast<unsigned long long>(nope::IcDigest()));
   return 0;
 }
