@@ -71,15 +71,16 @@ echo "=== stage 4c: SIMD backend digest identity ==="
 # require bit-identical stdout. Covers MSM result bytes, full Groth16
 # proof bytes, the outputs of a 2^12 FFT chain, witness-shaped G1/G2
 # MSMs (mostly zero and one scalars) that run every part of MsmAffine's
-# density split (the short-scalar part, the GLV tail and the G2 tail), and
-# P-256 keys, signatures and verdicts and a prepared key's IC sums, both on
-# tables that BatchToAffine builds on the SIMD backend. An
-# unset NOPE_SIMD picks the widest kernel, so on an AVX-512 host the AVX2
-# kernel runs only under NOPE_SIMD=avx2; its differential test runs here too.
+# density split (the short-scalar part, the GLV tail and the G2 tail),
+# P-256 keys, signatures and verdicts, a prepared key's IC sums and every
+# point of a seeded trusted setup, all on tables that BatchToAffine builds
+# on the SIMD backend. An unset NOPE_SIMD picks the widest kernel, so on an
+# AVX-512 host the AVX2 kernel runs only under NOPE_SIMD=avx2; its
+# differential test runs here too.
 cmake --build build -j "$(nproc)" --target simd_determinism_main fp_simd_test >/dev/null
 ref="$(NOPE_SIMD=off NOPE_THREADS=1 ./build/tests/simd_determinism_main 2>/dev/null)"
 # The reference must also match the digests pinned in the binary's header.
-pinned="$(grep -oE '(msm|proof|fft|witness_msm|ecdsa|ic)_digest=[0-9a-f]{16}' \
+pinned="$(grep -oE '(msm|proof|fft|witness_msm|ecdsa|ic|setup)_digest=[0-9a-f]{16}' \
   tests/simd_determinism_main.cc)"
 if [ "$ref" != "$pinned" ]; then
   echo "FAILED: digests differ from those pinned in simd_determinism_main.cc" >&2

@@ -142,7 +142,6 @@ FleetSimulator::FleetSimulator(const FleetConfig& config)
           config_.tenant_weights[t % config_.tenant_weights.size()];
     }
   }
-  sc.reject_infeasible = true;
   // EWMA-priced jobs: flyweights submit cost_estimate_ms = 0 and the model
   // learns the true (brownout-inflated) cost from completions. The prior is
   // deliberately optimistic so the adaptation is visible in the transcript.

@@ -5,7 +5,6 @@
 
 #include "src/base/threadpool.h"
 #include "src/ec/msm.h"
-#include "src/groth16/fixed_base.h"
 
 namespace nope {
 namespace groth16 {
@@ -212,53 +211,10 @@ std::vector<MsmScalar> ToStdLimbs(const std::vector<Fr>& values, size_t count,
   return out;
 }
 
-// Layout of PreparedVerifyingKey::ic_table: signed 4-bit digits
-// (msm_detail::SignedDigits), windows for any Fr (< 2^254) plus the carry
-// window, and the multiples 1..8 of each window's base 16^w * P.
-constexpr size_t kIcWindowBits = 4;
-constexpr size_t kIcWindows = (254 + kIcWindowBits - 1) / kIcWindowBits + 1;
-constexpr size_t kIcMultiples = size_t{1} << (kIcWindowBits - 1);
-constexpr size_t kIcPointsPerInput = kIcWindows * kIcMultiples;
-
-std::vector<G1Affine> BuildIcTable(const std::vector<G1>& ic) {
-  std::vector<G1> jac;
-  jac.reserve(ic.empty() ? 0 : (ic.size() - 1) * kIcPointsPerInput);
-  for (size_t j = 1; j < ic.size(); ++j) {
-    G1 window_base = ic[j];  // 16^w ic[j]
-    for (size_t w = 0; w < kIcWindows; ++w) {
-      // m * base: a doubling for even m, an addition for odd m.
-      const size_t first = jac.size();
-      jac.push_back(window_base);
-      for (size_t m = 2; m <= kIcMultiples; ++m) {
-        jac.push_back(m % 2 == 0 ? jac[first + m / 2 - 1].Double()
-                                 : jac[first + m - 2].Add(window_base));
-      }
-      window_base = jac.back().Double();  // 16 = 2 * 8
-    }
-  }
-  return BatchToAffine(jac);
-}
-
-// sum_j k_j ic[j+1] over the table, for standard-form scalars k_j
-// (pvk.vk.ic.size() - 1 of them).
-G1 IcTableSum(const PreparedVerifyingKey& pvk, const MsmScalar* scalars) {
-  const size_t inputs = pvk.vk.ic.size() - 1;
-  NOPE_INVARIANT(pvk.ic_table.size() == inputs * kIcPointsPerInput,
-                 "IcTableSum: the prepared key's IC table does not match its key");
-  G1 acc = G1::Infinity();
-  int32_t digits[kIcWindows] = {};
-  for (size_t j = 0; j < inputs; ++j) {
-    msm_detail::SignedDigits(scalars[j], kIcWindowBits, kIcWindows, digits);
-    const G1Affine* window = &pvk.ic_table[j * kIcPointsPerInput];
-    for (size_t w = 0; w < kIcWindows; ++w, window += kIcMultiples) {
-      if (digits[w] > 0) {
-        acc = acc.AddMixed(window[digits[w] - 1]);
-      } else if (digits[w] < 0) {
-        acc = acc.AddMixed(window[-digits[w] - 1].Negate());
-      }
-    }
-  }
-  return acc;
+MsmScalar ToStdLimbs(const Fr& value) {
+  MsmScalar out{};
+  Fr::ToStdLimbsBatch(&value, &out, 1);
+  return out;
 }
 
 Fr RandomNonZero(Rng* rng) {
@@ -359,8 +315,10 @@ ProvingKey Setup(const ConstraintSystem& cs, Rng* rng) {
     a_tau[i] = a_tau[i] + lag[num_constraints + i];
   }
 
-  FixedBaseTable<G1> t1(G1Generator());
-  FixedBaseTable<G2> t2(G2Generator());
+  // Hundreds of thousands of multiplications per generator: 8-bit windows,
+  // 4,224 points per table and ~32 mixed additions per multiplication.
+  const FixedBaseTable<Bn254G1Config> t1(G1Generator(), 8);
+  const FixedBaseTable<Bn254G2Config> t2(G2Generator(), 8);
 
   ProvingKey pk;
   pk.num_public = num_public;
@@ -368,12 +326,12 @@ ProvingKey Setup(const ConstraintSystem& cs, Rng* rng) {
   pk.domain_size = domain.size();
 
   VerifyingKey vk;
-  vk.alpha_g1 = t1.Mul(alpha.ToBigUInt());
-  vk.beta_g2 = t2.Mul(beta.ToBigUInt());
-  vk.gamma_g2 = t2.Mul(gamma.ToBigUInt());
-  vk.delta_g2 = t2.Mul(delta.ToBigUInt());
-  pk.beta_g1 = t1.Mul(beta.ToBigUInt());
-  pk.delta_g1 = t1.Mul(delta.ToBigUInt());
+  vk.alpha_g1 = t1.Mul(ToStdLimbs(alpha));
+  vk.beta_g2 = t2.Mul(ToStdLimbs(beta));
+  vk.gamma_g2 = t2.Mul(ToStdLimbs(gamma));
+  vk.delta_g2 = t2.Mul(ToStdLimbs(delta));
+  pk.beta_g1 = t1.Mul(ToStdLimbs(beta));
+  pk.delta_g1 = t1.Mul(ToStdLimbs(delta));
 
   // The query tables are hundreds of thousands of independent fixed-base
   // multiplications; each slot is written exactly once, so any partition
@@ -390,9 +348,10 @@ ProvingKey Setup(const ConstraintSystem& cs, Rng* rng) {
                    ThreadPool::ComputeMinChunk(num_vars, kSetupMinChunk),
                    [&](size_t lo, size_t hi) {
     for (size_t i = lo; i < hi; ++i) {
-      a_jac[i] = t1.Mul(a_tau[i].ToBigUInt());
-      b_g1_jac[i] = t1.Mul(b_tau[i].ToBigUInt());
-      b_g2_jac[i] = t2.Mul(b_tau[i].ToBigUInt());
+      const MsmScalar b = ToStdLimbs(b_tau[i]);
+      a_jac[i] = t1.Mul(ToStdLimbs(a_tau[i]));
+      b_g1_jac[i] = t1.Mul(b);
+      b_g2_jac[i] = t2.Mul(b);
     }
   });
   pk.a_query = BatchToAffine(a_jac);
@@ -402,7 +361,7 @@ ProvingKey Setup(const ConstraintSystem& cs, Rng* rng) {
   vk.ic.reserve(num_public);
   for (size_t i = 0; i < num_public; ++i) {
     Fr k = (beta * a_tau[i] + alpha * b_tau[i] + c_tau[i]) * gamma_inv;
-    vk.ic.push_back(t1.Mul(k.ToBigUInt()));
+    vk.ic.push_back(t1.Mul(ToStdLimbs(k)));
   }
   pk.pvk = PrepareVerifyingKey(vk);
   std::vector<G1> l_jac(num_vars - num_public);
@@ -413,7 +372,7 @@ ProvingKey Setup(const ConstraintSystem& cs, Rng* rng) {
                      for (size_t i = lo; i < hi; ++i) {
                        Fr k = (beta * a_tau[i] + alpha * b_tau[i] + c_tau[i]) *
                               delta_inv;
-                       l_jac[i - num_public] = t1.Mul(k.ToBigUInt());
+                       l_jac[i - num_public] = t1.Mul(ToStdLimbs(k));
                      }
                    });
   pk.l_query = BatchToAffine(l_jac);
@@ -428,7 +387,7 @@ ProvingKey Setup(const ConstraintSystem& cs, Rng* rng) {
                      Fr power =
                          h_base * tau.Pow(BigUInt(static_cast<uint64_t>(lo)));
                      for (size_t i = lo; i < hi; ++i) {
-                       h_jac[i] = t1.Mul(power.ToBigUInt());
+                       h_jac[i] = t1.Mul(ToStdLimbs(power));
                        power = power * tau;
                      }
                    });
@@ -632,15 +591,21 @@ bool Verify(const VerifyingKey& vk, const std::vector<Fr>& public_inputs, const 
 }
 
 size_t PreparedVerifyingKey::SizeBytes() const {
-  return sizeof(*this) + vk.ic.capacity() * sizeof(G1) +
-         ic_table.capacity() * sizeof(G1Affine) + gamma_prep.SizeBytes() +
-         delta_prep.SizeBytes();
+  size_t bytes = sizeof(*this) + vk.ic.capacity() * sizeof(G1) + gamma_prep.SizeBytes() +
+                 delta_prep.SizeBytes();
+  for (const FixedBaseTable<Bn254G1Config>& table : ic_tables) {
+    bytes += table.SizeBytes();
+  }
+  return bytes;
 }
 
 PreparedVerifyingKey PrepareVerifyingKey(const VerifyingKey& vk) {
   PreparedVerifyingKey pvk;
   pvk.vk = vk;
-  pvk.ic_table = BuildIcTable(vk.ic);
+  pvk.ic_tables.reserve(vk.ic.empty() ? 0 : vk.ic.size() - 1);
+  for (size_t j = 1; j < vk.ic.size(); ++j) {
+    pvk.ic_tables.emplace_back(vk.ic[j], 4);  // 4-bit windows: 520 points
+  }
   pvk.gamma_prep = PrepareG2(vk.gamma_g2);
   pvk.delta_prep = PrepareG2(vk.delta_g2);
   pvk.alpha_beta = Pairing(vk.alpha_g1, vk.beta_g2);
@@ -650,8 +615,14 @@ PreparedVerifyingKey PrepareVerifyingKey(const VerifyingKey& vk) {
 G1 PreparedIcSum(const PreparedVerifyingKey& pvk, const std::vector<Fr>& public_inputs) {
   NOPE_INVARIANT(public_inputs.size() + 1 == pvk.vk.ic.size(),
                  "PreparedIcSum: input count does not match the key");
+  NOPE_INVARIANT(pvk.ic_tables.size() == public_inputs.size(),
+                 "PreparedIcSum: the prepared key's IC tables do not match its key");
   std::vector<MsmScalar> scalars = ToStdLimbs(public_inputs, public_inputs.size(), nullptr);
-  return pvk.vk.ic[0].Add(IcTableSum(pvk, scalars.data()));
+  G1 acc = G1::Infinity();
+  for (size_t j = 0; j < scalars.size(); ++j) {
+    acc = pvk.ic_tables[j].MulAdd(scalars[j], acc);
+  }
+  return pvk.vk.ic[0].Add(acc);
 }
 
 bool Verify(const PreparedVerifyingKey& pvk, const std::vector<Fr>& public_inputs,
@@ -713,7 +684,8 @@ BatchVerifyResult BatchVerify(const PreparedVerifyingKey& pvk,
   // in the multi-Miller loop:
   //   prod_i e(A_i, B_i)^{z_i}
   //     = e(alpha, beta)^{sum z_i} e(sum z_i IC_i, gamma) e(sum z_i C_i, delta),
-  // with sum z_i IC_i = (sum z_i) ic[0] + sum_j (sum_i z_i x_ij) ic[j+1].
+  // with sum z_i IC_i = (sum z_i) ic[0] + sum_j (sum_i z_i x_ij) ic[j+1]
+  //                   = PreparedIcSum(sum_i z_i x_i) + (sum z_i - 1) ic[0].
   std::vector<Fr> ic_scalars(pvk.vk.ic.size() - 1, Fr::Zero());
   std::vector<G1> c_bases;
   c_bases.reserve(candidates.size());
@@ -724,9 +696,9 @@ BatchVerifyResult BatchVerify(const PreparedVerifyingKey& pvk,
     }
     c_bases.push_back(e.proof.c);
   }
-  std::vector<MsmScalar> ic_limbs = ToStdLimbs(ic_scalars, ic_scalars.size(), nullptr);
   std::vector<MsmScalar> z_limbs = ToStdLimbs(z, z.size(), nullptr);
-  G1 ic_agg = pvk.vk.ic[0].ScalarMul(z_sum.ToBigUInt()).Add(IcTableSum(pvk, ic_limbs.data()));
+  G1 ic_agg = PreparedIcSum(pvk, ic_scalars)
+                  .Add(pvk.vk.ic[0].ScalarMul((z_sum - Fr::One()).ToBigUInt()));
   G1 c_agg = MsmAffine(BatchToAffine(c_bases), z_limbs.data(), z_limbs.size());
 
   std::vector<G2Prepared> b_prep;

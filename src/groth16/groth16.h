@@ -18,6 +18,7 @@
 #include "src/base/cancellation.h"
 #include "src/base/result.h"
 #include "src/ec/bn254.h"
+#include "src/ec/fixed_base.h"
 #include "src/groth16/domain.h"
 #include "src/r1cs/constraint_system.h"
 
@@ -62,18 +63,17 @@ struct VerifyingKey {
 // moving the constant e(alpha, beta) to the right-hand side, which is exact,
 // not probabilistic.
 //
-// The public-input bases ic[1..] are fixed too, so their sum runs on a
-// fixed-base table: for each base P and each of 65 windows w, the multiples
-// m * 16^w * P for m = 1..8, affine. A scalar recoded into signed 4-bit
-// digits (any Fr value, < 2^254) then costs one mixed addition per nonzero
-// digit and no doubling. 520 points per input: 256 KB for the 7-input NOPE
-// key.
+// The public-input bases ic[1..] are fixed too, so their sum runs on one
+// FixedBaseTable per base at c = 4 (src/ec/fixed_base.h): 65 windows of the
+// multiples 1..8, affine, so an input costs one mixed addition per nonzero
+// signed 4-bit digit and no doubling. 520 points per input: 256 KB for the
+// 7-input NOPE key.
 struct PreparedVerifyingKey {
-  VerifyingKey vk;                  // ic[0] and the plain key
-  std::vector<G1Affine> ic_table;   // [input][window][multiple - 1]
-  G2Prepared gamma_prep;            // lines for gamma_g2
-  G2Prepared delta_prep;            // lines for delta_g2
-  Fp12 alpha_beta;                  // e(alpha_g1, beta_g2)
+  VerifyingKey vk;                                       // ic[0] and the plain key
+  std::vector<FixedBaseTable<Bn254G1Config>> ic_tables;  // one per ic[1..]
+  G2Prepared gamma_prep;                                 // lines for gamma_g2
+  G2Prepared delta_prep;                                 // lines for delta_g2
+  Fp12 alpha_beta;                                       // e(alpha_g1, beta_g2)
 
   // Resident footprint (the proving service's key-cache byte budget).
   size_t SizeBytes() const;

@@ -57,10 +57,6 @@ ProvingService::ProvingService(const ProvingServiceConfig& config, Clock* clock,
   for (const auto& [domain, weight] : config_.domain_weights) {
     NOPE_INVARIANT(weight > 0, "ProvingService: domain weight must be > 0");
   }
-  NOPE_INVARIANT(config_.cost_ewma_den > 0,
-                 "ProvingService: cost_ewma_den must be > 0");
-  NOPE_INVARIANT(config_.cost_ewma_num <= config_.cost_ewma_den,
-                 "ProvingService: cost_ewma_num must be <= cost_ewma_den");
   if (metrics_ != nullptr) {
     admitted_ = metrics_->GetCounter("service.admitted");
     rejected_queue_full_ = metrics_->GetCounter("service.rejected_queue_full");
@@ -144,8 +140,7 @@ ProvingService::SubmitResult ProvingService::Submit(ProveRequest req) {
   }
   uint64_t cost = EffectiveCostMs(req);
   bool model_cost = cost != req.cost_estimate_ms;
-  if (config_.reject_infeasible && req.deadline_ms != 0 &&
-      now + cost > req.deadline_ms) {
+  if (req.deadline_ms != 0 && now + cost > req.deadline_ms) {
     if (rejected_infeasible_ != nullptr) {
       rejected_infeasible_->Increment();
     }
@@ -347,9 +342,7 @@ void ProvingService::FinishJob(std::unique_ptr<Job> job, JobOutcome outcome,
         // thread + completion order makes the model state deterministic.
         uint64_t observed = finished - started_ms;
         uint64_t old = CostEstimateMs(job->req.circuit_id);
-        uint64_t updated = (config_.cost_ewma_num * observed +
-                            (config_.cost_ewma_den - config_.cost_ewma_num) * old) /
-                           config_.cost_ewma_den;
+        uint64_t updated = (observed + 3 * old) / 4;
         cost_ewma_[job->req.circuit_id] = updated;
         Emit("cost_model",
              "circuit=" + job->req.circuit_id + " observed=" +

@@ -111,18 +111,13 @@ struct ProvingServiceConfig {
   uint64_t quantum_ms = 1'000;
   uint32_t default_weight = 1;
   std::map<std::string, uint32_t> domain_weights;
-  // When false, deadline feasibility is not checked at admission (jobs are
-  // still shed at dequeue once expired).
-  bool reject_infeasible = true;
   // Per-circuit EWMA of observed prove cost, substituted for requests that
   // submit cost_estimate_ms == 0. Updated only from kOk completions (shed
   // and cancelled jobs reveal nothing about true cost), on the single pump
   // thread, in completion order — so the model state is a deterministic
   // function of the job history. Fixed-point update:
-  //   new = (num * observed + (den - num) * old) / den
+  //   new = (observed + 3 * old) / 4
   bool use_cost_model = false;
-  uint32_t cost_ewma_num = 1;
-  uint32_t cost_ewma_den = 4;
   uint64_t cost_prior_ms = 1'000;  // estimate for never-observed circuits
   // Fleet-scale runs process 10^6+ jobs; keeping every JobResult and event
   // line in memory defeats the point of a flyweight simulator. When false,

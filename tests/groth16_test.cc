@@ -249,11 +249,17 @@ TEST(PreparedIcSum, SizeBytesCountsTheTable) {
   groth16::PreparedVerifyingKey pvk = groth16::PrepareVerifyingKey(RandomIcKey(&rng, 7));
   // 65 windows of 8 multiples per input; the NOPE key's 7 inputs fit in
   // 320 KB.
-  EXPECT_EQ(pvk.ic_table.size(), 7u * 65u * 8u);
-  const size_t table_bytes = pvk.ic_table.capacity() * sizeof(G1Affine);
+  size_t points = 0;
+  size_t table_bytes = 0;
+  for (const FixedBaseTable<Bn254G1Config>& table : pvk.ic_tables) {
+    points += table.points().size();
+    table_bytes += table.SizeBytes();
+  }
+  EXPECT_EQ(points, 7u * 65u * 8u);
   EXPECT_LE(table_bytes, 320u * 1024u);
   groth16::PreparedVerifyingKey bare = pvk;
-  bare.ic_table = std::vector<G1Affine>();  // move-assign: frees the capacity too
+  // move-assign: frees the capacity too
+  bare.ic_tables = std::vector<FixedBaseTable<Bn254G1Config>>();
   EXPECT_EQ(pvk.SizeBytes(), bare.SizeBytes() + table_bytes);
 }
 

@@ -6,7 +6,8 @@
 // included) against a naive sum of double-and-adds under adversarial and
 // witness-shaped inputs (zero scalars, one, 2^64 - 1 and 2^64, r-1, scalars
 // >= r, duplicated scalars, duplicated bases, P/-P pairs, infinity bases,
-// all-zero, all-short and all-full vectors).
+// all-zero, all-short and all-full vectors), and the fixed-base table
+// against ScalarMul at both window widths in use.
 #include "src/ec/msm.h"
 
 #include <gtest/gtest.h>
@@ -15,6 +16,7 @@
 
 #include "src/ec/batch_affine.h"
 #include "src/ec/bn254.h"
+#include "src/ec/fixed_base.h"
 #include "src/ec/glv.h"
 #include "tests/witness_mix.h"
 
@@ -422,6 +424,50 @@ void ExpectUniformVectorsMatchNaive(const Point& gen, size_t n, uint64_t seed) {
 TEST(MsmSplit, AllZeroAllShortAllFullMatchNaive) {
   ExpectUniformVectorsMatchNaive(G1Generator(), 300, 3001);
   ExpectUniformVectorsMatchNaive(G2Generator(), 65, 3002);
+}
+
+// --- Fixed-base table ----------------------------------------------------------
+
+// Setup's width (8) and the prepared key's (4), on the scalars where the
+// signed recoding carries or reaches the top window (0, 1, 2, r - 1, r,
+// 2^64 +- 1, 2^128 +- 1, 2^254, 2^256 - 1) and on random 256-bit scalars;
+// MulAdd onto a non-infinity accumulator too.
+template <typename Point>
+void ExpectFixedBaseTableMatchesScalarMul(const Point& gen, uint64_t seed) {
+  Rng rng(seed);
+  const BigUInt one(1);
+  const BigUInt& r = Bn254Order();
+  std::vector<BigUInt> scalars = {BigUInt(),          one,
+                                  BigUInt(2),         r - one,
+                                  r,                  (one << 64) - one,
+                                  (one << 64) + one,  (one << 128) - one,
+                                  (one << 128) + one, one << 254,
+                                  (one << 256) - one};
+  for (int i = 0; i < 64; ++i) {
+    scalars.push_back(BigUInt::RandomBelow(&rng, one << 256));
+  }
+  const std::vector<MsmScalar> limbs = ToLimbs(scalars);
+  const Point base = gen.ScalarMul(BigUInt::RandomBelow(&rng, r));
+  const Point acc = gen.ScalarMul(BigUInt::RandomBelow(&rng, r));
+  std::vector<Point> want;
+  for (const BigUInt& k : scalars) {
+    want.push_back(base.ScalarMul(k));
+  }
+  for (size_t c : {size_t{4}, size_t{8}}) {
+    const FixedBaseTable<typename Point::ConfigType> table(base, c);
+    EXPECT_EQ(table.points().size(), ((256 + c - 1) / c + 1) << (c - 1));
+    for (size_t i = 0; i < scalars.size(); ++i) {
+      EXPECT_TRUE(table.Mul(limbs[i]).Equals(want[i]))
+          << "c=" << c << " k=" << scalars[i].ToHex();
+      EXPECT_TRUE(table.MulAdd(limbs[i], acc).Equals(acc.Add(want[i])))
+          << "c=" << c << " k=" << scalars[i].ToHex();
+    }
+  }
+}
+
+TEST(FixedBaseTable, MatchesScalarMulOnG1AndG2) {
+  ExpectFixedBaseTableMatchesScalarMul(G1Generator(), 4001);
+  ExpectFixedBaseTableMatchesScalarMul(G2Generator(), 4002);
 }
 
 }  // namespace

@@ -2,21 +2,23 @@
 // (b) a seeded Groth16 proof's 128-byte encoding, (c) a seeded chain of
 // FFTs, (d) seeded witness-shaped G1 and G2 MSMs (tests/witness_mix.h:
 // mostly zero and one scalars, so every part of MsmAffine's density split
-// runs), (e) seeded P-256 keys, RFC 6979 signatures and verdicts and (f) a
-// seeded prepared key's public-input sums. (e) and (f) run on tables built
-// by BatchToAffine: the odd multiples of P-256's generator and the prepared
-// key's IC table. Not a gtest: ci.sh runs this binary under different
-// NOPE_SIMD / NOPE_THREADS environments and diffs the stdout, pinning the
-// cross-process determinism contract (proof and transform bytes
-// bit-identical across SIMD backends and thread counts). The env is read
-// once per process, so the comparison must span processes. Every build and
-// backend prints
+// runs), (e) seeded P-256 keys, RFC 6979 signatures and verdicts, (f) a
+// seeded prepared key's public-input sums and (g) every point of a seeded
+// Groth16 Setup, affine. (e), (f) and (g) run on tables built by
+// BatchToAffine: the odd multiples of P-256's generator, the prepared key's
+// IC tables and Setup's generator tables. Not a gtest: ci.sh runs this
+// binary under different NOPE_SIMD / NOPE_THREADS environments and diffs
+// the stdout, pinning the cross-process determinism contract (proof and
+// transform bytes bit-identical across SIMD backends and thread counts).
+// The env is read once per process, so the comparison must span processes.
+// Every build and backend prints
 //   msm_digest=c31aa84fae27c583
 //   proof_digest=4de343c1606a9c77
 //   fft_digest=b8b5a41a944a3c13
 //   witness_msm_digest=422eb994f89fcbc6
 //   ecdsa_digest=3e5d18f1239d01f3
 //   ic_digest=b2beb92e028cc3c0
+//   setup_digest=b53cc63ab99294a7
 #include <cstdint>
 #include <cstdio>
 
@@ -166,6 +168,67 @@ uint64_t IcDigest() {
   return h;
 }
 
+template <typename Config>
+uint64_t PointDigest(const AffinePoint<Config>& p, uint64_t h) {
+  const uint8_t infinity = p.infinity ? 1 : 0;
+  return Fnv1a(&infinity, 1, FieldDigest(p.y, FieldDigest(p.x, h)));
+}
+
+template <typename Config>
+uint64_t PointsDigest(const std::vector<AffinePoint<Config>>& points, uint64_t h) {
+  for (const AffinePoint<Config>& p : points) {
+    h = PointDigest(p, h);
+  }
+  return h;
+}
+
+// Every point of a seeded Setup, affine: the five query tables, the
+// verifying key, beta_g1 and delta_g1, and the prepared key's IC tables.
+// The circuit has 3 public inputs and a 2^9 domain; each chain factor y_i
+// is zero in A and C, and the last link is zero in A and B.
+uint64_t SetupDigest() {
+  Rng rng(200020);
+  ConstraintSystem cs;
+  std::vector<Fr> inputs(3);
+  std::vector<Var> pub;
+  for (Fr& v : inputs) {
+    v = Fr::Random(&rng);
+    pub.push_back(cs.AddPublicInput(v));
+  }
+  for (size_t j = 0; j < pub.size(); ++j) {
+    cs.Enforce(LC(pub[j]), LC(pub[j]), LC(cs.AddWitness(inputs[j] * inputs[j])));
+  }
+  Fr link = Fr::Random(&rng);
+  Var x = cs.AddWitness(link);
+  for (int i = 0; i < 300; ++i) {
+    const Fr y = Fr::Random(&rng);
+    link = link * y;
+    Var next = cs.AddWitness(link);
+    cs.Enforce(LC(x), LC(cs.AddWitness(y)), LC(next));
+    x = next;
+  }
+  const groth16::ProvingKey pk = groth16::Setup(cs, &rng);
+  uint64_t h = 0xcbf29ce484222325ull;
+  for (const auto* query : {&pk.a_query, &pk.b_g1_query, &pk.l_query, &pk.h_query}) {
+    h = PointsDigest(*query, h);
+  }
+  h = PointsDigest(pk.b_g2_query, h);
+  const groth16::VerifyingKey& vk = pk.vk();
+  for (const G1& p : {vk.alpha_g1, pk.beta_g1, pk.delta_g1}) {
+    h = PointDigest(p.ToAffine(), h);
+  }
+  for (const G2& p : {vk.beta_g2, vk.gamma_g2, vk.delta_g2}) {
+    h = PointDigest(p.ToAffine(), h);
+  }
+  for (const G1& p : vk.ic) {
+    h = PointDigest(p.ToAffine(), h);
+  }
+  for (const FixedBaseTable<Bn254G1Config>& table : pk.pvk.ic_tables) {
+    h = PointsDigest(table.points(), h);
+  }
+  return h;
+}
+
 }  // namespace
 }  // namespace nope
 
@@ -185,5 +248,7 @@ int main() {
               static_cast<unsigned long long>(nope::EcdsaDigest()));
   std::printf("ic_digest=%016llx\n",
               static_cast<unsigned long long>(nope::IcDigest()));
+  std::printf("setup_digest=%016llx\n",
+              static_cast<unsigned long long>(nope::SetupDigest()));
   return 0;
 }
