@@ -68,7 +68,7 @@ void EmitSizeSweep(const Fixture& small, const Fixture& mid, const Fixture& larg
   emit("proof_encode_us",
        1000.0 * SampleMs(kCodecReps, [&] { Keep(small.proof.ToBytes()); }).Median());
   emit("proof_decode_us",
-       1000.0 * SampleMs(kCodecReps, [&] { Keep(groth16::Proof::FromBytes(encoded)); }).Median());
+       1000.0 * SampleMs(kCodecReps, [&] { Keep(groth16::Proof::TryFromBytes(encoded)); }).Median());
 }
 
 // Prove, MSM and coset-FFT time at 1, 4 and N threads. Wall-clock speedups

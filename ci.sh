@@ -1,8 +1,10 @@
 #!/bin/bash
-# CI entry point: plain tier-1 build + tests, then an ASan/UBSan build that
-# re-runs the fast tests plus the fault-injection and renewal-simulation
-# harnesses, the R1CS optimizer-equivalence tests and reduced-budget gadget
-# audit, and a seeded ~200-scenario sweep of the scenario zoo, then a
+# CI entry point: plain tier-1 build + tests, a build and one-second smoke
+# run of the benchmark (perfbench/) on the rotation and handshake workloads,
+# then an ASan/UBSan build that re-runs the fast tests plus the
+# fault-injection and renewal-simulation harnesses, the R1CS
+# optimizer-equivalence tests and reduced-budget gadget audit, and a seeded
+# ~200-scenario sweep of the scenario zoo, then a
 # TSan build (NOPE_SANITIZE=thread) that runs the thread-pool,
 # cross-thread-count determinism, and cancellation tests plus a small-fleet
 # replay of the fleet simulator.
@@ -16,6 +18,23 @@ cmake --build build -j "$(nproc)"
 
 echo "=== stage 2: tier-1 tests ==="
 (cd build && ctest --output-on-failure -j "$(nproc)")
+
+echo "=== stage 2b: benchmark build + smoke run ==="
+# perfbench/ builds on its own from the src/ libraries and calls the
+# prover's and the verifier's public API, and nothing above builds it. Build
+# both of its programs, then run the two workloads that reach the prover
+# and the verifier for one second each; each must print a result line with
+# "correct": true.
+cmake -S perfbench -B .bench_build/perfbench -DCMAKE_BUILD_TYPE=Release >/dev/null
+cmake --build .bench_build/perfbench -j "$(nproc)" --target nope_bench nope_bench_trace
+for workload in rotation handshake; do
+  result="$(python3 perfbench/run.py --workload "$workload" --seed 1 --seconds 1 | tail -n 1)"
+  echo "$workload: $result"
+  if ! grep -q '"correct": true' <<< "$result"; then
+    echo "FAILED: perfbench $workload did not report \"correct\": true" >&2
+    exit 1
+  fi
+done
 
 echo "=== stage 3: ASan/UBSan build ==="
 cmake -B build-san -S . -DNOPE_SANITIZE=address,undefined >/dev/null

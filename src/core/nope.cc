@@ -96,14 +96,14 @@ NopeDeployment NopeTrustedSetup(DnssecHierarchy* dns, const DnsName& domain,
   return deployment;
 }
 
-// Synthesizes the statement for `witness` and returns its assignment in the
-// indexing of deployment.circuit. Statement matrices depend on the shape
-// only, never on witness values, so every witness of the setup shape has
-// setup's wire count and lines up with the stored map; the statement system
-// is freed on return, before Prove allocates.
+// Synthesizes the statement for `witness` in kCount mode (every value, no
+// matrices) and returns its assignment in the indexing of deployment.circuit.
+// Statement matrices depend on the shape only, never on witness values, so
+// every witness of the setup shape has setup's wire count and lines up with
+// the stored map.
 static std::vector<Fr> CircuitAssignment(const NopeDeployment& deployment,
                                          const StatementWitness& witness) {
-  ConstraintSystem statement;
+  ConstraintSystem statement(ConstraintSystem::Mode::kCount);
   BuildNopeStatement(&statement, deployment.params, witness);
   const size_t wires = statement.NumVariables();
   if (wires != deployment.statement_wires) {
@@ -132,11 +132,14 @@ NopeProofBundle GenerateNopeProof(const NopeDeployment& deployment, DnssecHierar
   if (deployment.params.options.managed_mode) {
     PopulateManagedWitness(dns, domain, &witness);
   }
-  std::vector<Fr> assignment = CircuitAssignment(deployment, witness);
-  ConstraintSystem cs = deployment.circuit;
-  cs.SetAssignment(std::move(assignment));
+  groth16::ProveResult proved = groth16::Prove(deployment.pk, deployment.circuit,
+                                               CircuitAssignment(deployment, witness), rng,
+                                               CancellationToken(), nullptr);
+  if (!proved.ok()) {
+    throw std::invalid_argument("GenerateNopeProof: " + proved.status.ToString());
+  }
   NopeProofBundle bundle;
-  bundle.proof = groth16::Prove(deployment.pk, cs, rng);
+  bundle.proof = proved.proof;
   bundle.sans = EncodeProofSans(bundle.proof.ToBytes(), domain);
   bundle.proof_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();

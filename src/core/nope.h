@@ -52,13 +52,13 @@ StatementWitness BuildWitness(DnssecHierarchy* dns, const DnsName& domain,
                               const Bytes& tls_public_key, const std::string& ca_name,
                               uint64_t expected_issuance_time);
 
-// Fig. 2 steps 1-2: produce the proof and its SAN encoding. Builds the
-// statement for the current chain, maps its assignment onto
-// deployment.circuit and proves against it; groth16::Prove rejects an
-// assignment the circuit's matrices do not accept. Throws
-// std::invalid_argument when the statement does not fit the deployment's
-// circuit (a different wire count, or a deployment not made by
-// NopeTrustedSetup).
+// Fig. 2 steps 1-2: produce the proof and its SAN encoding. Computes the
+// statement's values for the current chain (kCount synthesis: no matrices),
+// maps them onto deployment.circuit's wires and proves that assignment
+// against the stored circuit in place. Throws std::invalid_argument when the
+// statement does not fit the deployment's circuit (a different wire count,
+// or a deployment not made by NopeTrustedSetup) or when groth16::Prove
+// rejects the assignment or the key; the message carries Prove's status.
 struct NopeProofBundle {
   groth16::Proof proof;
   std::vector<std::string> sans;

@@ -20,6 +20,7 @@
 #ifndef SRC_EC_BATCH_AFFINE_H_
 #define SRC_EC_BATCH_AFFINE_H_
 
+#include <algorithm>
 #include <cstddef>
 #include <vector>
 
@@ -136,6 +137,27 @@ void BatchInvertField(std::vector<Field>* vals) {
 namespace batch_affine_detail {
 // Fixed block size: the grid depends only on input size, never thread count.
 constexpr size_t kBatchAffineBlock = 1024;
+
+// Calls block(lo, hi) for each kBatchAffineBlock-sized block of [0, n), on
+// the global pool when there is more than one block.
+template <typename Block>
+void ForEachBlock(size_t n, const Block& block) {
+  if (n <= kBatchAffineBlock) {
+    if (n > 0) {
+      block(0, n);
+    }
+    return;
+  }
+  const size_t num_blocks = (n + kBatchAffineBlock - 1) / kBatchAffineBlock;
+  ThreadPool::Global().ParallelFor(
+      0, num_blocks, ThreadPool::ComputeMinChunk(num_blocks, 1),
+      [&](size_t lo, size_t hi) {
+        for (size_t b = lo; b < hi; ++b) {
+          const size_t first = b * kBatchAffineBlock;
+          block(first, std::min(n, first + kBatchAffineBlock));
+        }
+      });
+}
 }  // namespace batch_affine_detail
 
 // Converts a vector of Jacobian points to canonical affine coordinates with
@@ -145,16 +167,9 @@ template <typename Config>
 std::vector<AffinePoint<Config>> BatchToAffine(
     const std::vector<EcPoint<Config>>& points) {
   using Field = typename Config::Field;
-  constexpr size_t kBlock = batch_affine_detail::kBatchAffineBlock;
   const size_t n = points.size();
   std::vector<AffinePoint<Config>> out(n);
-  if (n == 0) {
-    return out;
-  }
-  const size_t num_blocks = (n + kBlock - 1) / kBlock;
-  auto convert_block = [&](size_t b) {
-    size_t lo = b * kBlock;
-    size_t hi = lo + kBlock < n ? lo + kBlock : n;
+  batch_affine_detail::ForEachBlock(n, [&](size_t lo, size_t hi) {
     const size_t m = hi - lo;
     // zs holds z for finite points and 0 (skipped) for infinities.
     std::vector<Field> zs(m);
@@ -186,18 +201,7 @@ std::vector<AffinePoint<Config>> BatchToAffine(
         out[lo + i] = {xs[i], ys[i], false};
       }
     }
-  };
-  if (num_blocks == 1) {
-    convert_block(0);
-    return out;
-  }
-  ThreadPool::Global().ParallelFor(
-      0, num_blocks, ThreadPool::ComputeMinChunk(num_blocks, 1),
-      [&](size_t lo, size_t hi) {
-        for (size_t b = lo; b < hi; ++b) {
-          convert_block(b);
-        }
-      });
+  });
   return out;
 }
 

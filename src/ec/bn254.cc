@@ -145,11 +145,6 @@ G2 G2Generator() {
   return G2::FromAffine(x, y);
 }
 
-bool G1InSubgroup(const G1& p) {
-  // Cofactor 1: every point satisfying the curve equation is in the group.
-  return p.IsOnCurve();
-}
-
 G2 G2Psi(const G2& p) {
   if (p.IsInfinity()) {
     return G2::Infinity();

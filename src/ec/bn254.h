@@ -54,17 +54,17 @@ G2 G2Generator();
 // all of E'(Fp2) it satisfies psi^2 - [t] psi + [p] = 0 for the trace t.
 G2 G2Psi(const G2& p);
 
-// Subgroup membership checks for deserialized (untrusted) points. BN254 G1
-// has cofactor 1, so the curve equation alone proves membership; G2 sits on
-// a twist with a large cofactor, so an explicit order-r membership check is
-// required before feeding a decoded point into a pairing.
+// Subgroup membership checks for deserialized (untrusted) G2 points. BN254
+// G1 has cofactor 1, so the curve equation alone (IsOnCurve) proves
+// membership there; G2 sits on a twist with a large cofactor, so an explicit
+// order-r membership check is required before feeding a decoded point into
+// a pairing.
 //
 // G2InSubgroup is the fast path: on-curve plus the El Housni-Guillevic-
 // Piellard relation [u+1]P + psi([u]P) + psi^2([u]P) == psi^3([2u]P), one
 // 63-bit scalar multiplication (see bn254.cc for why the relation holds
 // exactly on the subgroup). G2InSubgroupReference is the direct order-r
 // scalar multiplication, kept as the differential-testing reference.
-bool G1InSubgroup(const G1& p);
 bool G2InSubgroup(const G2& p);
 bool G2InSubgroupReference(const G2& p);
 

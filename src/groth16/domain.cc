@@ -22,7 +22,6 @@ constexpr size_t kTwoAdicity = 28;
 constexpr size_t kButterflyMinChunk = 256;   // butterflies per FFT share
 constexpr size_t kMulBatch = 64;             // elements per Fr::MulBatch call
 constexpr size_t kScaleMinChunk = 1024;      // elements per scaling share
-constexpr size_t kBatchInvertBlock = 1024;   // fixed block grid for inversion
 
 // An element of order exactly 2^28 in Fr*, found once at startup.
 const Fr& TwoAdicRoot() {
@@ -121,65 +120,12 @@ void FftInternal(std::vector<Fr>* a, size_t log_n, const std::vector<Fr>& twiddl
 }  // namespace
 
 void BatchInvert(std::vector<Fr>* values) {
-  const size_t n = values->size();
-  if (n < 2 * kBatchInvertBlock) {
-    // Single-threaded Montgomery trick; BatchInvertField splits the chain
-    // across SIMD lanes when a vector backend is active. Inverses are
-    // unique, so the outputs cannot depend on the chain layout.
-    BatchInvertField(values);
-    return;
-  }
-
-  // Blocked Montgomery trick: the block grid depends on n only, and field
-  // values are canonical, so the output never depends on the thread count.
-  const size_t num_blocks = (n + kBatchInvertBlock - 1) / kBatchInvertBlock;
-  std::vector<Fr> prefix(n);  // within-block prefix products
-  std::vector<Fr> block_total(num_blocks);
-  ThreadPool& pool = ThreadPool::Global();
-  pool.ParallelFor(0, num_blocks, ThreadPool::ComputeMinChunk(num_blocks, 1),
-                   [&](size_t lo, size_t hi) {
-    for (size_t b = lo; b < hi; ++b) {
-      Fr acc = Fr::One();
-      size_t i_end = std::min(n, (b + 1) * kBatchInvertBlock);
-      for (size_t i = b * kBatchInvertBlock; i < i_end; ++i) {
-        prefix[i] = acc;
-        if (!(*values)[i].IsZero()) {
-          acc = acc * (*values)[i];
-        }
-      }
-      block_total[b] = acc;
-    }
-  });
-
-  // Serial cross-block combine: one inversion total, as before.
-  std::vector<Fr> block_prefix(num_blocks);
-  std::vector<Fr> block_suffix(num_blocks + 1);
-  Fr acc = Fr::One();
-  for (size_t b = 0; b < num_blocks; ++b) {
-    block_prefix[b] = acc;
-    acc = acc * block_total[b];
-  }
-  Fr total_inv = acc.Inverse();
-  block_suffix[num_blocks] = Fr::One();
-  for (size_t b = num_blocks; b-- > 0;) {
-    block_suffix[b] = block_total[b] * block_suffix[b + 1];
-  }
-
-  pool.ParallelFor(0, num_blocks, ThreadPool::ComputeMinChunk(num_blocks, 1),
-                   [&](size_t lo, size_t hi) {
-    for (size_t b = lo; b < hi; ++b) {
-      // Inverse of the product of non-zero values in blocks 0..b.
-      Fr inv = total_inv * block_suffix[b + 1];
-      size_t i_begin = b * kBatchInvertBlock;
-      for (size_t i = std::min(n, (b + 1) * kBatchInvertBlock); i-- > i_begin;) {
-        if ((*values)[i].IsZero()) {
-          continue;
-        }
-        Fr orig = (*values)[i];
-        (*values)[i] = inv * (block_prefix[b] * prefix[i]);
-        inv = inv * orig;
-      }
-    }
+  // BatchToAffine's block grid: one inversion per 1,024 elements. Inverses
+  // are unique, so the outputs cannot depend on the grid or the thread count.
+  batch_affine_detail::ForEachBlock(values->size(), [&](size_t lo, size_t hi) {
+    std::vector<Fr> block(values->begin() + lo, values->begin() + hi);
+    BatchInvertField(&block);
+    std::copy(block.begin(), block.end(), values->begin() + lo);
   });
 }
 

@@ -55,7 +55,8 @@ class EvaluationDomain {
   Fr shift_inv_;
 };
 
-// Batch inversion (Montgomery's trick); zero entries are left as zero.
+// Batch inversion (Montgomery's trick, one inversion per 1,024-element
+// block, blocks on the global pool); zero entries are left as zero.
 void BatchInvert(std::vector<Fr>* values);
 
 }  // namespace nope

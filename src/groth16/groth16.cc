@@ -1,6 +1,7 @@
 #include "src/groth16/groth16.h"
 
 #include <algorithm>
+#include <atomic>
 #include <stdexcept>
 
 #include "src/base/threadpool.h"
@@ -199,8 +200,8 @@ constexpr size_t kProveMinChunk = 256;
 // Montgomery multiply by 1 per element, so it batches through the SIMD
 // backend (Fr::ToStdLimbsBatch); values are canonical either way, so output
 // bytes cannot depend on the backend or the partitioning.
-std::vector<MsmScalar> ToStdLimbs(const std::vector<Fr>& values, size_t count,
-                                  const CancellationToken* cancel) {
+std::vector<MsmScalar> ToStdLimbs(std::span<const Fr> values, const CancellationToken* cancel) {
+  const size_t count = values.size();
   std::vector<MsmScalar> out(count);
   ThreadPool::Global().ParallelFor(
       0, count, ThreadPool::ComputeMinChunk(count, kProveMinChunk),
@@ -255,14 +256,6 @@ Result<Proof> Proof::TryFromBytes(const Bytes& bytes) {
     return Error(ErrorCode::kNotInSubgroup, "proof B outside the r-order subgroup");
   }
   return p;
-}
-
-Proof Proof::FromBytes(const Bytes& bytes) {
-  Result<Proof> p = TryFromBytes(bytes);
-  if (!p.ok()) {
-    throw std::invalid_argument(p.error().ToString());
-  }
-  return std::move(p).value();
 }
 
 ProvingKey Setup(const ConstraintSystem& cs, Rng* rng) {
@@ -395,30 +388,9 @@ ProvingKey Setup(const ConstraintSystem& cs, Rng* rng) {
   return pk;
 }
 
-const char* ProveStatusName(ProveStatus status) {
-  switch (status) {
-    case ProveStatus::kOk:
-      return "ok";
-    case ProveStatus::kCancelled:
-      return "cancelled";
-  }
-  return "unknown";
-}
-
-Proof Prove(const ProvingKey& pk, const ConstraintSystem& cs, Rng* rng) {
-  ProveResult result = Prove(pk, cs, rng, CancellationToken());
-  // A never-firing token cannot produce kCancelled.
-  NOPE_INVARIANT(result.ok(), "Prove: uncancellable run reported kCancelled");
-  return result.proof;
-}
-
-ProveResult Prove(const ProvingKey& pk, const ConstraintSystem& cs, Rng* rng,
-                  const CancellationToken& cancel) {
-  return Prove(pk, cs, rng, cancel, nullptr);
-}
-
-ProveResult Prove(const ProvingKey& pk, const ConstraintSystem& cs, Rng* rng,
-                  const CancellationToken& cancel, const ProveStageHooks* hooks) {
+ProveResult Prove(const ProvingKey& pk, const ConstraintSystem& circuit,
+                  std::span<const Fr> assignment, Rng* rng, const CancellationToken& cancel,
+                  const ProveStageHooks* hooks) {
   // Stage timing is observation-only: it draws on the hook's clock, never on
   // the Rng, and a disabled hook costs two branches per stage.
   const bool timed = hooks != nullptr && hooks->on_stage != nullptr;
@@ -431,57 +403,91 @@ ProveResult Prove(const ProvingKey& pk, const ConstraintSystem& cs, Rng* rng,
     hooks->on_stage(stage, now - stage_start);
     stage_start = now;
   };
-  if (cs.mode() != ConstraintSystem::Mode::kProve) {
-    throw std::invalid_argument("Prove requires a materialized constraint system");
-  }
-  // An expired deadline aborts before the (linear-time) satisfaction scan so
-  // a hopeless proving job costs near nothing.
-  if (cancel.cancelled()) {
-    return ProveResult{ProveStatus::kCancelled, Proof{}};
-  }
-  // The QAP rows and every MSM below are sized from the key, so a system
-  // and a key whose shapes disagree stop here, before any work. (Public
-  // inputs are wires, so wires - num_public cannot wrap.)
-  const size_t wires = cs.NumVariables();
-  const auto mismatch = [] {
-    return std::invalid_argument("Prove: constraint system does not match proving key");
+  auto fail = [](ErrorCode code, const std::string& context) {
+    return ProveResult{Status(code, "Prove: " + context), Proof{}};
   };
-  if (wires != pk.a_query.size() || cs.NumPublic() != pk.num_public ||
-      cs.NumConstraints() != pk.num_constraints || pk.b_g1_query.size() != wires ||
-      pk.b_g2_query.size() != wires || pk.l_query.size() != wires - pk.num_public) {
-    throw mismatch();
+  auto cancelled = [&] { return fail(ErrorCode::kCancelled, "the token fired"); };
+
+  if (circuit.mode() != ConstraintSystem::Mode::kProve) {
+    return fail(ErrorCode::kMissing, "the circuit stores no matrices (kCount mode)");
+  }
+  // An expired deadline aborts before any linear-time work, so a hopeless
+  // proving job costs near nothing.
+  if (cancel.cancelled()) {
+    return cancelled();
+  }
+  // The QAP rows and every MSM below are sized from the key, so a circuit
+  // and a key whose shapes disagree stop here, before any work. (Public
+  // inputs are wires, so wires - public cannot wrap.)
+  const size_t wires = circuit.NumVariables();
+  const struct {
+    const char* what;
+    size_t key;
+    size_t circuit;
+  } shapes[] = {
+      {"A query length", pk.a_query.size(), wires},
+      {"public input count", pk.num_public, circuit.NumPublic()},
+      {"constraint count", pk.num_constraints, circuit.NumConstraints()},
+      {"B-in-G1 query length", pk.b_g1_query.size(), wires},
+      {"B-in-G2 query length", pk.b_g2_query.size(), wires},
+      {"L query length", pk.l_query.size(), wires - circuit.NumPublic()},
+  };
+  for (const auto& shape : shapes) {
+    if (shape.key != shape.circuit) {
+      return fail(ErrorCode::kMismatch, std::string("key ") + shape.what + " is " +
+                                            std::to_string(shape.key) + ", the circuit needs " +
+                                            std::to_string(shape.circuit));
+    }
+  }
+  if (assignment.size() != wires) {
+    return fail(ErrorCode::kBadLength, "assignment has " + std::to_string(assignment.size()) +
+                                           " values for " + std::to_string(wires) + " wires");
+  }
+  if (assignment[kOneVar] != Fr::One()) {
+    return fail(ErrorCode::kMismatch, "assignment wire 0 (the constant one) is not 1");
   }
   EvaluationDomain domain(pk.num_constraints + pk.num_public);
   size_t n = domain.size();
   if (pk.h_query.size() != n - 1) {
-    throw mismatch();
-  }
-  size_t bad = 0;
-  if (!cs.IsSatisfied(&bad)) {
-    throw std::invalid_argument("Prove: assignment violates constraint " + std::to_string(bad));
+    return fail(ErrorCode::kMismatch, "key H query length is " +
+                                          std::to_string(pk.h_query.size()) +
+                                          ", the circuit's domain needs " + std::to_string(n - 1));
   }
 
   std::vector<Fr> a_vals(n, Fr::Zero());
   std::vector<Fr> b_vals(n, Fr::Zero());
   std::vector<Fr> c_vals(n, Fr::Zero());
-  const auto& constraints = cs.constraints();
+  // Satisfaction is checked on the row values the QAP needs anyway, so each
+  // row is evaluated once. A share stops at its first violated row; the
+  // smallest such row over all shares is the first overall, whatever the
+  // partition.
+  const auto& constraints = circuit.constraints();
+  const size_t m = constraints.size();
+  std::atomic<size_t> first_bad{m};
   ThreadPool& pool = ThreadPool::Global();
-  pool.ParallelFor(0, constraints.size(),
-                   ThreadPool::ComputeMinChunk(constraints.size(),
-                                               kProveMinChunk),
+  pool.ParallelFor(0, m, ThreadPool::ComputeMinChunk(m, kProveMinChunk),
                    [&](size_t lo, size_t hi) {
-                     for (size_t j = lo; j < hi; ++j) {
-                       a_vals[j] = cs.Eval(constraints[j].a);
-                       b_vals[j] = cs.Eval(constraints[j].b);
-                       c_vals[j] = cs.Eval(constraints[j].c);
-                     }
-                   },
-                   &cancel);
-  for (size_t i = 0; i < pk.num_public; ++i) {
-    a_vals[pk.num_constraints + i] = cs.ValueOf(static_cast<Var>(i));
-  }
+    for (size_t j = lo; j < hi; ++j) {
+      a_vals[j] = EvalLc(constraints[j].a, assignment);
+      b_vals[j] = EvalLc(constraints[j].b, assignment);
+      c_vals[j] = EvalLc(constraints[j].c, assignment);
+      if (a_vals[j] * b_vals[j] != c_vals[j]) {
+        size_t seen = first_bad.load();
+        while (j < seen && !first_bad.compare_exchange_weak(seen, j)) {
+        }
+        return;
+      }
+    }
+  }, &cancel);
   if (cancel.cancelled()) {
-    return ProveResult{ProveStatus::kCancelled, Proof{}};
+    return cancelled();
+  }
+  if (first_bad.load() != m) {
+    return fail(ErrorCode::kMismatch,
+                "assignment violates constraint " + std::to_string(first_bad.load()));
+  }
+  for (size_t i = 0; i < pk.num_public; ++i) {
+    a_vals[pk.num_constraints + i] = assignment[i];
   }
   stage_done("witness");
 
@@ -492,7 +498,7 @@ ProveResult Prove(const ProvingKey& pk, const ConstraintSystem& cs, Rng* rng,
   domain.CosetFft(&b_vals, &cancel);
   domain.CosetFft(&c_vals, &cancel);
   if (cancel.cancelled()) {
-    return ProveResult{ProveStatus::kCancelled, Proof{}};
+    return cancelled();
   }
   stage_done("fft");
   Fr z_inv = domain.VanishingOnCoset().Inverse();
@@ -505,20 +511,19 @@ ProveResult Prove(const ProvingKey& pk, const ConstraintSystem& cs, Rng* rng,
   }, &cancel);
   domain.CosetIfft(&h, &cancel);
   if (cancel.cancelled()) {
-    return ProveResult{ProveStatus::kCancelled, Proof{}};
+    return cancelled();
   }
   stage_done("h_poly");
 
-  const std::vector<Fr>& values = cs.values();
-  std::vector<MsmScalar> z_all = ToStdLimbs(values, values.size(), &cancel);
-  std::vector<MsmScalar> h_scalars = ToStdLimbs(h, n - 1, &cancel);
+  std::vector<MsmScalar> z_all = ToStdLimbs(assignment, &cancel);
+  std::vector<MsmScalar> h_scalars = ToStdLimbs({h.data(), n - 1}, &cancel);
   if (cancel.cancelled()) {
-    return ProveResult{ProveStatus::kCancelled, Proof{}};
+    return cancelled();
   }
   stage_done("scalars");
 
   // The Rng draws happen unconditionally past this point, so a quiet token
-  // leaves the caller's Rng in the same state as the uncancellable overload.
+  // leaves the caller's Rng as a run without a token would.
   Fr r = Fr::Random(rng);
   Fr s = Fr::Random(rng);
 
@@ -532,7 +537,7 @@ ProveResult Prove(const ProvingKey& pk, const ConstraintSystem& cs, Rng* rng,
   G1 b_g1 = pk.beta_g1.Add(MsmAffine(pk.b_g1_query, z_all.data(), wires, &cancel))
                 .Add(pk.delta_g1.ScalarMul(s.ToBigUInt()));
   if (cancel.cancelled()) {
-    return ProveResult{ProveStatus::kCancelled, Proof{}};
+    return cancelled();
   }
 
   G1 c = MsmAffine(pk.l_query, z_all.data() + pk.num_public, num_wit, &cancel)
@@ -541,11 +546,24 @@ ProveResult Prove(const ProvingKey& pk, const ConstraintSystem& cs, Rng* rng,
              .Add(b_g1.ScalarMul(r.ToBigUInt()))
              .Add(pk.delta_g1.ScalarMul((r * s).ToBigUInt()).Negate());
   if (cancel.cancelled()) {
-    return ProveResult{ProveStatus::kCancelled, Proof{}};
+    return cancelled();
   }
   stage_done("msm");
 
-  return ProveResult{ProveStatus::kOk, Proof{a, b, c}};
+  return ProveResult{Status::Ok(), Proof{a, b, c}};
+}
+
+Proof Prove(const ProvingKey& pk, const ConstraintSystem& cs, Rng* rng) {
+  ProveResult result = Prove(pk, cs, cs.values(), rng, CancellationToken(), nullptr);
+  if (!result.ok()) {
+    throw std::invalid_argument(result.status.ToString());
+  }
+  return result.proof;
+}
+
+ProveResult Prove(const ProvingKey& pk, const ConstraintSystem& cs, Rng* rng,
+                  const CancellationToken& cancel, const ProveStageHooks* hooks) {
+  return Prove(pk, cs, cs.values(), rng, cancel, hooks);
 }
 
 namespace {
@@ -568,7 +586,7 @@ bool ProofPointsOk(const Proof& proof) {
 // [IC]1 = ic[0] + sum_j x_j ic[j+1] for an unprepared key: one MSM.
 G1 IcCombination(const VerifyingKey& vk, const std::vector<Fr>& public_inputs) {
   std::vector<G1> bases(vk.ic.begin() + 1, vk.ic.end());
-  std::vector<MsmScalar> scalars = ToStdLimbs(public_inputs, public_inputs.size(), nullptr);
+  std::vector<MsmScalar> scalars = ToStdLimbs(public_inputs, nullptr);
   return vk.ic[0].Add(MsmAffine(BatchToAffine(bases), scalars.data(), scalars.size()));
 }
 
@@ -617,7 +635,7 @@ G1 PreparedIcSum(const PreparedVerifyingKey& pvk, const std::vector<Fr>& public_
                  "PreparedIcSum: input count does not match the key");
   NOPE_INVARIANT(pvk.ic_tables.size() == public_inputs.size(),
                  "PreparedIcSum: the prepared key's IC tables do not match its key");
-  std::vector<MsmScalar> scalars = ToStdLimbs(public_inputs, public_inputs.size(), nullptr);
+  std::vector<MsmScalar> scalars = ToStdLimbs(public_inputs, nullptr);
   G1 acc = G1::Infinity();
   for (size_t j = 0; j < scalars.size(); ++j) {
     acc = pvk.ic_tables[j].MulAdd(scalars[j], acc);
@@ -696,7 +714,7 @@ BatchVerifyResult BatchVerify(const PreparedVerifyingKey& pvk,
     }
     c_bases.push_back(e.proof.c);
   }
-  std::vector<MsmScalar> z_limbs = ToStdLimbs(z, z.size(), nullptr);
+  std::vector<MsmScalar> z_limbs = ToStdLimbs(z, nullptr);
   G1 ic_agg = PreparedIcSum(pvk, ic_scalars)
                   .Add(pvk.vk.ic[0].ScalarMul((z_sum - Fr::One()).ToBigUInt()));
   G1 c_agg = MsmAffine(BatchToAffine(c_bases), z_limbs.data(), z_limbs.size());

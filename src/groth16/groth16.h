@@ -13,6 +13,7 @@
 #define SRC_GROTH16_GROTH16_H_
 
 #include <functional>
+#include <span>
 #include <vector>
 
 #include "src/base/cancellation.h"
@@ -38,10 +39,6 @@ struct Proof {
   // curve or, for B, outside the order-r subgroup, so decoding is injective:
   // a Proof that decodes successfully re-encodes to the identical 128 bytes.
   static Result<Proof> TryFromBytes(const Bytes& bytes);
-
-  // Throwing wrapper over TryFromBytes for trusted/internal callers;
-  // throws std::invalid_argument on malformed input.
-  static Proof FromBytes(const Bytes& bytes);
 };
 
 struct VerifyingKey {
@@ -112,36 +109,13 @@ struct ProvingKey {
 // The returned key carries its verifying key already prepared.
 ProvingKey Setup(const ConstraintSystem& cs, Rng* rng);
 
-// Produces a zero-knowledge proof for the assignment held in cs (which must
-// satisfy the constraints; throws std::invalid_argument otherwise).
-Proof Prove(const ProvingKey& pk, const ConstraintSystem& cs, Rng* rng);
-
-// Cancellable prover for deadline-bounded issuance jobs (the renewal
-// lifecycle's proving stage). The token is polled cooperatively: at entry,
-// between pipeline phases (QAP evaluation, each FFT, each MSM), and inside
-// the parallel loops at chunk boundaries, so an already-expired deadline
-// returns promptly and a mid-flight cancellation abandons queued work within
-// one chunk. On kCancelled the proof field is meaningless; the global
-// ThreadPool is always left reusable. With a token that never fires the
-// returned proof is bit-identical to Prove() at the same Rng state (the
-// checks are pure reads and the Rng is consumed identically).
-enum class ProveStatus { kOk, kCancelled };
-const char* ProveStatusName(ProveStatus status);
-struct ProveResult {
-  ProveStatus status = ProveStatus::kOk;
-  Proof proof;
-
-  bool ok() const { return status == ProveStatus::kOk; }
-};
-ProveResult Prove(const ProvingKey& pk, const ConstraintSystem& cs, Rng* rng,
-                  const CancellationToken& cancel);
-
-// Optional per-stage instrumentation for the cancellable prover. When hooks
-// is non-null and on_stage is set, the prover invokes it on the calling
-// thread at each completed stage boundary with the stage name and the
-// elapsed milliseconds measured on `clock` (stages completed before a
-// cancellation still report). Stage names, in order:
-//   "witness"  — satisfaction check + per-wire QAP evaluations
+// Optional per-stage instrumentation for the prover. When hooks is non-null
+// and on_stage is set, the prover invokes it on the calling thread at each
+// completed stage boundary with the stage name and the elapsed milliseconds
+// measured on `clock` (stages completed before a cancellation still report).
+// Stage names, in order:
+//   "witness"  — A, B and C row evaluations (each row once, with the
+//                satisfaction check on the same values)
 //   "fft"      — the six iFFT/coset-FFT transforms
 //   "h_poly"   — quotient evaluation + coset iFFT
 //   "scalars"  — Montgomery-to-integer scalar conversions
@@ -153,6 +127,43 @@ struct ProveStageHooks {
   const Clock* clock = nullptr;
   std::function<void(const char* stage, uint64_t elapsed_ms)> on_stage;
 };
+
+// proof is meaningful only when status is ok.
+struct ProveResult {
+  Status status;
+  Proof proof;
+
+  bool ok() const { return status.ok(); }
+};
+
+// The prover: a zero-knowledge proof that `assignment` satisfies the
+// matrices of `circuit`. circuit is read only for its constraints and
+// counts; every value comes from assignment, one per circuit wire, in the
+// circuit's wire order. So a fixed circuit proves a new witness without
+// being copied.
+//
+// Never throws. A failed check returns its error, and its context names the
+// check:
+//   kMissing    — circuit stores no matrices (kCount mode);
+//   kMismatch   — a key count or query-table length that does not fit the
+//                 circuit, an assignment whose wire 0 is not 1, or an
+//                 assignment that violates a constraint (named by index);
+//   kBadLength  — an assignment with a value count other than the wire count;
+//   kCancelled  — the token fired.
+// The token is polled cooperatively: at entry, between pipeline phases (row
+// evaluation, each FFT, each MSM), and inside the parallel loops at chunk
+// boundaries, so an already-expired deadline returns promptly and a
+// mid-flight cancellation abandons queued work within one chunk. The global
+// ThreadPool is always left reusable. A failed check returns before the Rng
+// is drawn; a quiet token and the hooks never touch it, so they leave the
+// proof bit-identical.
+ProveResult Prove(const ProvingKey& pk, const ConstraintSystem& circuit,
+                  std::span<const Fr> assignment, Rng* rng, const CancellationToken& cancel,
+                  const ProveStageHooks* hooks);
+
+// Forwards that prove cs.values(), the assignment cs carries. The first
+// throws std::invalid_argument with the status text on any error.
+Proof Prove(const ProvingKey& pk, const ConstraintSystem& cs, Rng* rng);
 ProveResult Prove(const ProvingKey& pk, const ConstraintSystem& cs, Rng* rng,
                   const CancellationToken& cancel, const ProveStageHooks* hooks);
 

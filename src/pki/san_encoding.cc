@@ -164,13 +164,4 @@ Result<Bytes> DecodeProofFromSans(const std::vector<std::string>& sans,
   return value.ToBytes(kSanProofBytes);
 }
 
-std::optional<Bytes> DecodeProofSans(const std::vector<std::string>& sans,
-                                     const DnsName& domain) {
-  Result<Bytes> out = DecodeProofFromSans(sans, domain);
-  if (!out.ok()) {
-    return std::nullopt;
-  }
-  return std::move(out).value();
-}
-
 }  // namespace nope

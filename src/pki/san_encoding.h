@@ -5,7 +5,6 @@
 #ifndef SRC_PKI_SAN_ENCODING_H_
 #define SRC_PKI_SAN_ENCODING_H_
 
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -29,10 +28,6 @@ std::vector<std::string> EncodeProofSans(const Bytes& proof, const DnsName& doma
 // total length, bad version, or checksum mismatch.
 Result<Bytes> DecodeProofFromSans(const std::vector<std::string>& sans,
                                   const DnsName& domain);
-
-// Optional-returning wrapper kept for callers that only care about presence.
-std::optional<Bytes> DecodeProofSans(const std::vector<std::string>& sans,
-                                     const DnsName& domain);
 
 }  // namespace nope
 

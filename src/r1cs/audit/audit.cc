@@ -260,7 +260,7 @@ GadgetAuditResult AuditGadget(const Gadget& gadget, const AuditOptions& options)
     std::vector<Fr> honest_post;
     bool have_opt = false;
     if (options.with_optimizer) {
-      opt = Optimize(cs, options.optimize);
+      opt = Optimize(cs);
       honest_post = opt.MapAssignment(honest);
       have_opt = true;
       if (inst == 0) {

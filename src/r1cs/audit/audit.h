@@ -6,8 +6,8 @@
 //     the gadget's declared spec (the constraints are too weak);
 //   * completeness: a spec-valid drawn instance whose honest witness the
 //     constraints reject (the constraints are too strong).
-// When an optimizer configuration is supplied, every instance is additionally
-// optimized and a differential oracle asserts satisfiability-equivalence:
+// With with_optimizer set, every instance is additionally optimized and a
+// differential oracle asserts satisfiability-equivalence:
 // each pre-system assignment that satisfies the original constraints must map
 // to a satisfying post-system assignment, and each post-system assignment
 // that satisfies the optimized constraints must lift to a satisfying (and
@@ -38,7 +38,6 @@ struct AuditOptions {
   // the pre-/post-optimization search streams). The acceptance bar is 10^3.
   size_t min_assignments = 1000;
   bool with_optimizer = true;
-  OptimizeOptions optimize;
 };
 
 struct AuditFinding {

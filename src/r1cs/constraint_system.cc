@@ -87,7 +87,7 @@ Fr LinearCombination::ConstantValue() const {
   return sum;
 }
 
-Fr EvalLc(const LC& lc, const std::vector<Fr>& values) {
+Fr EvalLc(const LC& lc, std::span<const Fr> values) {
   Fr acc = Fr::Zero();
   for (const auto& [v, c] : lc.terms()) {
     acc = acc + values[v] * c;
@@ -131,13 +131,7 @@ void ConstraintSystem::EnforceBoolean(Var v) {
   Enforce(LC(v), LC(v) - LC(kOneVar), LC());
 }
 
-Fr ConstraintSystem::Eval(const LC& lc) const {
-  Fr acc = Fr::Zero();
-  for (const auto& [v, c] : lc.terms()) {
-    acc = acc + values_[v] * c;
-  }
-  return acc;
-}
+Fr ConstraintSystem::Eval(const LC& lc) const { return EvalLc(lc, values_); }
 
 bool ConstraintSystem::IsSatisfied(size_t* bad) const {
   if (mode_ != Mode::kProve) {
@@ -163,16 +157,6 @@ bool ConstraintSystem::SatisfiedBy(const std::vector<Fr>& values, size_t* bad) c
     }
   }
   return true;
-}
-
-void ConstraintSystem::SetAssignment(std::vector<Fr> values) {
-  if (values.size() != values_.size()) {
-    throw std::invalid_argument("SetAssignment: assignment has the wrong arity");
-  }
-  if (values[kOneVar] != Fr::One()) {
-    throw std::invalid_argument("SetAssignment: the constant-one variable is not 1");
-  }
-  values_ = std::move(values);
 }
 
 void ConstraintSystem::BeginScope(std::string name) {

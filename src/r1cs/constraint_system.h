@@ -16,6 +16,7 @@
 #define SRC_R1CS_CONSTRAINT_SYSTEM_H_
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -67,7 +68,7 @@ struct Constraint {
 
 // Evaluates a linear combination under an explicit assignment (values[v] for
 // every variable the combination mentions; values[0] must be 1).
-Fr EvalLc(const LC& lc, const std::vector<Fr>& values);
+Fr EvalLc(const LC& lc, std::span<const Fr> values);
 
 // A named half-open region of constraints and variables, recorded by
 // BeginScope/EndScope. Gadgets annotate their synthesis with scopes so the
@@ -128,11 +129,6 @@ class ConstraintSystem {
   void BeginScope(std::string name);
   void EndScope();
   const std::vector<ScopeSpan>& scopes() const { return scopes_; }
-
-  // Replaces the whole assignment, keeping the constraints: proving a fixed
-  // circuit for a new witness. Throws std::invalid_argument unless
-  // values.size() == NumVariables() and values[0] is 1.
-  void SetAssignment(std::vector<Fr> values);
 
   // Overwrites the value of a variable. Used by negative tests to corrupt a
   // witness and check that proofs over it are rejected.

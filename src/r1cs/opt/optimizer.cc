@@ -10,6 +10,13 @@ namespace {
 
 constexpr Var kGone = OptimizeResult::kEliminatedVar;
 
+// Rounds of the fixed-point loop; each round runs every pass once.
+constexpr size_t kMaxRounds = 8;
+// Substitution budget: a variable is only folded out when
+// (uses outside its defining constraint) * (expression terms) stays within
+// this bound, so eliminations cannot blow up matrix density.
+constexpr size_t kMaxFill = 64;
+
 // Deterministic total order on canonical LCs: term count, then variable ids,
 // then coefficients by their Montgomery limbs (canonical, so equal limbs mean
 // equal values). Only used for map lookups, never iterated, so the order
@@ -272,7 +279,7 @@ bool FoldPass(Work* w, OptStats* st) {
 // fold the definition into every use when the fill-in stays within budget.
 // The defined variable is chosen deterministically (fewest uses, then lowest
 // id) so matrices stay a pure function of the input system.
-bool SubstLinearPass(Work* w, OptStats* st, std::vector<Elimination>* elims, size_t max_fill) {
+bool SubstLinearPass(Work* w, OptStats* st, std::vector<Elimination>* elims) {
   bool changed = false;
   for (uint32_t ci = 0; ci < w->cons.size(); ++ci) {
     if (w->dead[ci]) {
@@ -300,7 +307,7 @@ bool SubstLinearPass(Work* w, OptStats* st, std::vector<Elimination>* elims, siz
       continue;
     }
     size_t expr_terms = con.a.terms().size() - 1;
-    if (best_uses * expr_terms > max_fill) {
+    if (best_uses * expr_terms > kMaxFill) {
       continue;
     }
     // cv * v + rest = 0  =>  v = rest * (-cv)^-1.
@@ -843,7 +850,7 @@ std::vector<Fr> OptimizeResult::LiftAssignment(const std::vector<Fr>& new_values
   return out;
 }
 
-OptimizeResult Optimize(const ConstraintSystem& cs, const OptimizeOptions& options) {
+OptimizeResult Optimize(const ConstraintSystem& cs) {
   if (cs.mode() != ConstraintSystem::Mode::kProve) {
     throw std::logic_error("Optimize requires a kProve-mode system");
   }
@@ -864,33 +871,21 @@ OptimizeResult Optimize(const ConstraintSystem& cs, const OptimizeOptions& optio
   res.stats.constraints_before = w.cons.size();
   res.stats.vars_before = num_vars;
 
-  if (options.unify_spans) {
-    // Must run before any pass reorders or tombstones constraints: scope
-    // spans index into the original constraint layout.
-    BuildOcc(&w, num_vars);
-    UnifySpansPass(&w, cs, &res.stats, &res.eliminations);
-  }
+  // Must run before any pass reorders or tombstones constraints: scope
+  // spans index into the original constraint layout.
+  BuildOcc(&w, num_vars);
+  UnifySpansPass(&w, cs, &res.stats, &res.eliminations);
 
   bool changed = true;
-  while (changed && res.stats.rounds < options.max_rounds) {
+  while (changed && res.stats.rounds < kMaxRounds) {
     ++res.stats.rounds;
     changed = false;
     BuildOcc(&w, num_vars);
-    if (options.canonicalize) {
-      changed = FoldPass(&w, &res.stats) || changed;
-    }
-    if (options.substitute_linear) {
-      changed = SubstLinearPass(&w, &res.stats, &res.eliminations, options.max_fill) || changed;
-    }
-    if (options.share_products) {
-      changed = SharePass(&w, &res.stats, &res.eliminations) || changed;
-    }
-    if (options.share_affine) {
-      changed = AffineSharePass(&w, &res.stats) || changed;
-    }
-    if (options.eliminate_dead) {
-      changed = DeadPass(&w, &res.stats, &res.eliminations, num_vars) || changed;
-    }
+    changed = FoldPass(&w, &res.stats) || changed;
+    changed = SubstLinearPass(&w, &res.stats, &res.eliminations) || changed;
+    changed = SharePass(&w, &res.stats, &res.eliminations) || changed;
+    changed = AffineSharePass(&w, &res.stats) || changed;
+    changed = DeadPass(&w, &res.stats, &res.eliminations, num_vars) || changed;
   }
 
   // Compact: public inputs keep their ids, surviving witnesses keep their

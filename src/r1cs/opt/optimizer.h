@@ -20,15 +20,22 @@
 //       (span-local wire i <-> span-local wire i, external wires equal) are
 //       the same sub-circuit applied to the same inputs. The duplicate's
 //       local wires are aliased onto the original's and its constraints decay
-//       into exact duplicates that (c) removes. The Map direction of the
-//       equivalence contract below then relies on spans being *functional*:
-//       local wires uniquely determined by the external inputs, which holds
-//       for every gadget in this library (bit decompositions, inverse hints,
-//       carry/quotient witnesses are all unique). Disable unify_spans for
-//       circuits with free non-deterministic wires that escape their span.
+//       into exact duplicates that (c) removes.
 //   (f) affine product sharing: products S * (V + k1) = c1 and
 //       S * (V + k2) = c2 differ by the identity c2 - c1 = (k2 - k1) * S, so
 //       the second is replaced by that linear constraint.
+// Span unification first, then rounds of (a), substitution, (c), (f), (b)
+// until a round changes nothing or 8 rounds have run. Every pass always runs.
+//
+// Precondition: every scope span is *functional*, its local wires uniquely
+// determined by its external inputs. The Map direction of the equivalence
+// contract below relies on it, since (e) aliases the local wires of two
+// spans with equal inputs. Every gadget in this library meets it (bit
+// decompositions, inverse hints, carry/quotient witnesses are all unique).
+// The gadget audit's optimizer oracle (src/r1cs/audit) tests it for every
+// registered gadget: a span whose free wire escapes it shows up there as a
+// pre-satisfying assignment that the optimized system rejects
+// (kOptLostWitness).
 //
 // Determinism contract: the optimized matrices are a pure function of the
 // input matrices (never of the witness values), all passes run serially in
@@ -58,20 +65,6 @@
 #include "src/r1cs/constraint_system.h"
 
 namespace nope {
-
-struct OptimizeOptions {
-  bool canonicalize = true;       // pass (a): fold + canonical LCs
-  bool substitute_linear = true;  // fold linear definitions into their uses
-  bool share_products = true;     // pass (c): CSE across gadget instances
-  bool eliminate_dead = true;     // pass (b): dead wires + defining products
-  bool unify_spans = true;        // pass (e): duplicate scope-span aliasing
-  bool share_affine = true;       // pass (f): affine-related product rewrite
-  size_t max_rounds = 8;
-  // Substitution budget: a variable is only folded out when
-  // (uses outside its defining constraint) * (expression terms) stays within
-  // this bound, so eliminations cannot blow up matrix density.
-  size_t max_fill = 64;
-};
 
 struct OptStats {
   size_t rounds = 0;
@@ -136,8 +129,9 @@ struct OptimizeResult {
   std::vector<Fr> LiftAssignment(const std::vector<Fr>& new_values) const;
 };
 
-// Optimizes a kProve-mode system. The input is not modified.
-OptimizeResult Optimize(const ConstraintSystem& cs, const OptimizeOptions& options = {});
+// Optimizes a kProve-mode system with every pass above. The input is not
+// modified.
+OptimizeResult Optimize(const ConstraintSystem& cs);
 
 // Innermost-scope attribution for the ORIGINAL system: element i names the
 // scopes() index owning constraint i (kNoScope when outside every scope).

@@ -401,8 +401,9 @@ size_t ProvingKeyEntry::SizeBytes() const {
   return bytes;
 }
 
-groth16::ProveStageHooks MakeMetricsProveHooks(MetricsRegistry* metrics,
-                                               const Clock* clock) {
+namespace {
+
+groth16::ProveStageHooks MakeMetricsProveHooks(MetricsRegistry* metrics, const Clock* clock) {
   groth16::ProveStageHooks hooks;
   hooks.clock = clock;
   if (metrics != nullptr) {
@@ -415,6 +416,8 @@ groth16::ProveStageHooks MakeMetricsProveHooks(MetricsRegistry* metrics,
   return hooks;
 }
 
+}  // namespace
+
 ProveStatement MakeGroth16Statement(const ConstraintSystem* cs, Rng* rng,
                                     MetricsRegistry* metrics, const Clock* clock,
                                     groth16::Proof* proof_out) {
@@ -425,9 +428,9 @@ ProveStatement MakeGroth16Statement(const ConstraintSystem* cs, Rng* rng,
     const auto* entry = static_cast<const ProvingKeyEntry*>(key);
     groth16::ProveStageHooks hooks = MakeMetricsProveHooks(metrics, clock);
     groth16::ProveResult result =
-        groth16::Prove(entry->pk, *cs, rng, cancel, &hooks);
+        groth16::Prove(entry->pk, *cs, cs->values(), rng, cancel, &hooks);
     if (!result.ok()) {
-      return Error(ErrorCode::kCancelled, "groth16 prove cancelled");
+      return result.status;
     }
     if (proof_out != nullptr) {
       *proof_out = result.proof;

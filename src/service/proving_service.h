@@ -245,20 +245,15 @@ struct ProvingKeyEntry : CachedKey {
   size_t SizeBytes() const override;
 };
 
-// Statement that runs the instrumented cancellable prover. `cs` and `rng`
-// (and `proof_out`, when set) must outlive the job; the key checked out for
-// the job's circuit must be a ProvingKeyEntry for the same circuit. When
-// `metrics` is non-null, per-stage prove latencies (measured on `clock`)
-// are recorded into "prove.stage_ms.<stage>" histograms.
+// Statement that proves the assignment `cs` carries with groth16::Prove and
+// returns Prove's status unchanged, so a key that does not fit `cs` ends the
+// job kFailed with Prove's reason. `cs` and `rng` (and `proof_out`, when
+// set) must outlive the job; the checked-out key must be a ProvingKeyEntry.
+// When `metrics` is non-null, per-stage prove latencies (measured on
+// `clock`) are recorded into "prove.stage_ms.<stage>" histograms.
 ProveStatement MakeGroth16Statement(const ConstraintSystem* cs, Rng* rng,
                                     MetricsRegistry* metrics, const Clock* clock,
                                     groth16::Proof* proof_out);
-
-// The stage-latency hook MakeGroth16Statement wires into groth16::Prove;
-// exposed so other prover call sites (RenewalManager's real pipeline, the
-// benches) can record into the same histograms.
-groth16::ProveStageHooks MakeMetricsProveHooks(MetricsRegistry* metrics,
-                                               const Clock* clock);
 
 // Statement that burns cost_ms of clock time in slice_ms slices, polling the
 // token at each slice boundary — the SimulatedPipeline::GenerateProof model

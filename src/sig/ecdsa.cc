@@ -160,14 +160,6 @@ Result<EcdsaPublicKey> EcdsaPublicKey::TryDecode(const Bytes& encoded) {
   return EcdsaPublicKey{p};
 }
 
-EcdsaPublicKey EcdsaPublicKey::Decode(const Bytes& encoded) {
-  Result<EcdsaPublicKey> out = TryDecode(encoded);
-  if (!out.ok()) {
-    throw std::invalid_argument(out.error().ToString());
-  }
-  return std::move(out).value();
-}
-
 Bytes EcdsaSignature::Encode() const {
   Bytes out = r.ToBytes(32);
   AppendBytes(&out, s.ToBytes(32));

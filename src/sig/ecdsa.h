@@ -30,8 +30,6 @@ struct EcdsaPublicKey {
   // Strict decoder for untrusted bytes: canonical coordinates (< p) and
   // on-curve (P-256 has cofactor 1, so on-curve implies in-subgroup).
   static Result<EcdsaPublicKey> TryDecode(const Bytes& encoded);
-  // Throwing wrapper (std::invalid_argument) for trusted callers.
-  static EcdsaPublicKey Decode(const Bytes& encoded);
   bool operator==(const EcdsaPublicKey& o) const { return q.Equals(o.q); }
 };
 

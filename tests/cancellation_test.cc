@@ -212,9 +212,9 @@ TEST(Prove, QuietTokenMatchesUncancellableOverload) {
   auto pk = groth16::Setup(cs, &rng_a);
   Rng rng_c(700), rng_d(700);
   groth16::Proof plain = groth16::Prove(pk, cs, &rng_c);
-  groth16::ProveResult result = groth16::Prove(pk, cs, &rng_d, CancellationToken());
+  groth16::ProveResult result = groth16::Prove(pk, cs, &rng_d, CancellationToken(), nullptr);
   ASSERT_TRUE(result.ok());
-  EXPECT_EQ(result.status, groth16::ProveStatus::kOk);
+  EXPECT_TRUE(result.status.ok());
   // Same Rng seed, same proof bytes: the cancellable overload consumes the
   // identical Rng stream when the token never fires.
   EXPECT_EQ(plain.ToBytes(), result.proof.ToBytes());
@@ -231,15 +231,15 @@ TEST(Prove, ExpiredDeadlineReturnsCancelledPromptly) {
   ASSERT_TRUE(already_expired.Expired());
   CancellationToken token = CancellationToken::WithDeadline(already_expired);
   Rng prng(700);
-  groth16::ProveResult result = groth16::Prove(pk, cs, &prng, token);
+  groth16::ProveResult result = groth16::Prove(pk, cs, &prng, token, nullptr);
   EXPECT_FALSE(result.ok());
-  EXPECT_EQ(result.status, groth16::ProveStatus::kCancelled);
-  EXPECT_STREQ(groth16::ProveStatusName(result.status), "cancelled");
+  EXPECT_EQ(result.status.error().code, ErrorCode::kCancelled);
+  EXPECT_STREQ(ErrorCodeName(result.status.error().code), "cancelled");
 
   // The global pool is still healthy: a fresh uncancelled run succeeds and
   // verifies.
   Rng prng2(701);
-  groth16::ProveResult ok = groth16::Prove(pk, cs, &prng2, CancellationToken());
+  groth16::ProveResult ok = groth16::Prove(pk, cs, &prng2, CancellationToken(), nullptr);
   ASSERT_TRUE(ok.ok());
   EXPECT_TRUE(groth16::Verify(pk.vk(), {Fr::FromU64(35)}, ok.proof));
 }
@@ -256,12 +256,12 @@ TEST(Prove, ExplicitCancelFromAnotherThread) {
   CancellationToken token = source.token();
   std::thread canceller([&source] { source.Cancel(); });
   Rng prng(800);
-  groth16::ProveResult result = groth16::Prove(pk, cs, &prng, token);
+  groth16::ProveResult result = groth16::Prove(pk, cs, &prng, token, nullptr);
   canceller.join();
   if (result.ok()) {
     EXPECT_TRUE(groth16::Verify(pk.vk(), {Fr::FromU64(15)}, result.proof));
   } else {
-    EXPECT_EQ(result.status, groth16::ProveStatus::kCancelled);
+    EXPECT_EQ(result.status.error().code, ErrorCode::kCancelled);
   }
 }
 

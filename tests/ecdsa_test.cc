@@ -127,13 +127,15 @@ TEST(Ecdsa, Rfc6979KnownVector) {
 TEST(Ecdsa, EncodingRoundTrips) {
   Rng rng(504);
   EcdsaKeyPair kp = GenerateEcdsaKey(&rng);
-  EXPECT_EQ(EcdsaPublicKey::Decode(kp.pub.Encode()), kp.pub);
+  Result<EcdsaPublicKey> pub = EcdsaPublicKey::TryDecode(kp.pub.Encode());
+  ASSERT_TRUE(pub.ok());
+  EXPECT_EQ(pub.value(), kp.pub);
   EcdsaSignature sig = EcdsaSign(kp.priv, Ascii("m"));
   EcdsaSignature decoded = EcdsaSignature::Decode(sig.Encode());
   EXPECT_EQ(decoded.r, sig.r);
   EXPECT_EQ(decoded.s, sig.s);
   EXPECT_THROW(EcdsaSignature::Decode(Bytes(10)), std::invalid_argument);
-  EXPECT_THROW(EcdsaPublicKey::Decode(Bytes(65, 1)), std::invalid_argument);
+  EXPECT_FALSE(EcdsaPublicKey::TryDecode(Bytes(65, 1)).ok());
 }
 
 TEST(Ecdsa, GlvSideInfoIsHalfSize) {

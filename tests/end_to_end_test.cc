@@ -179,9 +179,11 @@ TEST(EndToEnd, MauledProofStillVerifiesButBindingHolds) {
   auto result = IssueCertificate(&e->deployment, &e->dns, &e->ca, e->domain,
                                  e->tls_key.pub.Encode(), kNow, &e->rng, true);
   ASSERT_TRUE(result.has_value());
-  auto proof_bytes = DecodeProofSans(result->chain.leaf.body.sans, e->domain);
-  ASSERT_TRUE(proof_bytes.has_value());
-  auto proof = groth16::Proof::FromBytes(*proof_bytes);
+  Result<Bytes> proof_bytes = DecodeProofFromSans(result->chain.leaf.body.sans, e->domain);
+  ASSERT_TRUE(proof_bytes.ok());
+  Result<groth16::Proof> decoded = groth16::Proof::TryFromBytes(proof_bytes.value());
+  ASSERT_TRUE(decoded.ok());
+  const groth16::Proof& proof = decoded.value();
   auto mauled = groth16::RandomizeProof(e->deployment.vk(), proof, &e->rng);
   uint64_t ts = TruncateTimestamp(result->chain.leaf.body.not_before);
   std::vector<Fr> pub = NopePublicInputs(
@@ -205,9 +207,11 @@ TEST(EndToEnd, InfinityAProofRejectedEndToEnd) {
   auto victim = IssueCertificate(&e->deployment, &e->dns, &e->ca, e->domain,
                                  e->tls_key.pub.Encode(), kNow, &e->rng, true);
   ASSERT_TRUE(victim.has_value());
-  auto proof_bytes = DecodeProofSans(victim->chain.leaf.body.sans, e->domain);
-  ASSERT_TRUE(proof_bytes.has_value());
-  groth16::Proof proof = groth16::Proof::FromBytes(*proof_bytes);
+  Result<Bytes> proof_bytes = DecodeProofFromSans(victim->chain.leaf.body.sans, e->domain);
+  ASSERT_TRUE(proof_bytes.ok());
+  Result<groth16::Proof> decoded = groth16::Proof::TryFromBytes(proof_bytes.value());
+  ASSERT_TRUE(decoded.ok());
+  groth16::Proof proof = decoded.value();
   proof.a = G1::Infinity();
   Bytes tampered_bytes = proof.ToBytes();
   // The canonical infinity encoding survives the strict decoder...
@@ -246,9 +250,11 @@ TEST(EndToEnd, ClientVerdictMatchesUnpreparedVerify) {
   EXPECT_TRUE(verdict.nope_validated);
 
   const CertificateBody& body = result->chain.leaf.body;
-  auto proof_bytes = DecodeProofSans(body.sans, e->domain);
-  ASSERT_TRUE(proof_bytes.has_value());
-  groth16::Proof proof = groth16::Proof::FromBytes(*proof_bytes);
+  Result<Bytes> proof_bytes = DecodeProofFromSans(body.sans, e->domain);
+  ASSERT_TRUE(proof_bytes.ok());
+  Result<groth16::Proof> decoded = groth16::Proof::TryFromBytes(proof_bytes.value());
+  ASSERT_TRUE(decoded.ok());
+  const groth16::Proof& proof = decoded.value();
   std::vector<Fr> pub = NopePublicInputs(
       e->deployment.params, e->domain, TlsKeyDigest(body.subject_public_key),
       CaNameDigest(body.issuer_organization), TruncateTimestamp(body.not_before));

@@ -71,8 +71,11 @@ struct Environment {
       throw std::logic_error("fixture proof decode failed");
     }
     proof_bytes = decoded.value();
-    groth16::Proof proof = groth16::Proof::FromBytes(proof_bytes);
-    donor_proof_bytes = groth16::RandomizeProof(deployment.vk(), proof, &rng).ToBytes();
+    Result<groth16::Proof> proof = groth16::Proof::TryFromBytes(proof_bytes);
+    if (!proof.ok()) {
+      throw std::logic_error("fixture proof parse failed");
+    }
+    donor_proof_bytes = groth16::RandomizeProof(deployment.vk(), proof.value(), &rng).ToBytes();
     public_inputs = NopePublicInputs(
         deployment.params, domain, TlsKeyDigest(nope_chain.leaf.body.subject_public_key),
         CaNameDigest(nope_chain.leaf.body.issuer_organization),

@@ -2,6 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <span>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "src/base/threadpool.h"
+
 namespace nope {
 namespace {
 
@@ -92,6 +99,157 @@ TEST(Groth16, QueryTableOfWrongLengthThrows) {
   EXPECT_THROW(groth16::Prove(longer, cs, &rng), std::invalid_argument);
 }
 
+// The prover core with a quiet token and no hooks. It must not throw, on any
+// input.
+groth16::ProveResult ProveCore(const groth16::ProvingKey& pk, const ConstraintSystem& circuit,
+                               std::span<const Fr> assignment, Rng* rng) {
+  groth16::ProveResult result;
+  EXPECT_NO_THROW(result = groth16::Prove(pk, circuit, assignment, rng, CancellationToken(),
+                                          nullptr));
+  return result;
+}
+
+// Checks the code of a failed result and that its context names the check.
+void ExpectError(const groth16::ProveResult& result, ErrorCode code, const std::string& names) {
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status.error().code, code) << result.status.ToString();
+  EXPECT_NE(result.status.error().context.find(names), std::string::npos)
+      << result.status.ToString();
+}
+
+TEST(ProveCore, CountModeCircuitIsMissing) {
+  Rng rng(620);
+  const auto pk = groth16::Setup(CubicCircuit(3, 35), &rng);
+  ConstraintSystem counted(ConstraintSystem::Mode::kCount);
+  Var x = counted.AddPublicInput(Fr::FromU64(35));
+  Var w = counted.AddWitness(Fr::FromU64(3));
+  counted.Enforce(LC(w), LC(w), LC(x));
+  ExpectError(ProveCore(pk, counted, counted.values(), &rng), ErrorCode::kMissing, "kCount");
+}
+
+// The inputs of MoreConstraintsThanKeyThrows and QueryTableOfWrongLengthThrows,
+// plus a circuit with one more public input, through the core.
+TEST(ProveCore, EachKeyShapeMismatchIsNamed) {
+  auto squares = [](size_t constraints, bool y_public) {
+    ConstraintSystem cs;
+    Var x = cs.AddPublicInput(Fr::FromU64(3));
+    Var y = y_public ? cs.AddPublicInput(Fr::FromU64(9)) : cs.AddWitness(Fr::FromU64(9));
+    for (size_t i = 0; i < constraints; ++i) {
+      cs.Enforce(LC(x), LC(x), LC(y));
+    }
+    return cs;
+  };
+  Rng rng(621);
+  const auto squares_pk = groth16::Setup(squares(2, false), &rng);
+  for (const ConstraintSystem& wrong : {squares(5001, false), squares(1, false)}) {
+    ExpectError(ProveCore(squares_pk, wrong, wrong.values(), &rng), ErrorCode::kMismatch,
+                "constraint count");
+  }
+  ConstraintSystem two_public = squares(2, true);
+  ExpectError(ProveCore(squares_pk, two_public, two_public.values(), &rng),
+              ErrorCode::kMismatch, "public input count");
+
+  ConstraintSystem cs = CubicCircuit(3, 35);
+  const auto pk = groth16::Setup(cs, &rng);
+  const std::pair<std::vector<G1Affine> groth16::ProvingKey::*, const char*> g1_tables[] = {
+      {&groth16::ProvingKey::a_query, "A query length"},
+      {&groth16::ProvingKey::b_g1_query, "B-in-G1 query length"},
+      {&groth16::ProvingKey::l_query, "L query length"},
+      {&groth16::ProvingKey::h_query, "H query length"},
+  };
+  for (const auto& [member, name] : g1_tables) {
+    groth16::ProvingKey bad = pk;
+    (bad.*member).pop_back();
+    ExpectError(ProveCore(bad, cs, cs.values(), &rng), ErrorCode::kMismatch, name);
+  }
+  groth16::ProvingKey bad = pk;
+  bad.b_g2_query.pop_back();
+  ExpectError(ProveCore(bad, cs, cs.values(), &rng), ErrorCode::kMismatch,
+              "B-in-G2 query length");
+  groth16::ProvingKey longer = pk;
+  longer.h_query.push_back(longer.h_query.back());
+  ExpectError(ProveCore(longer, cs, cs.values(), &rng), ErrorCode::kMismatch, "H query length");
+  // The matching circuit still proves.
+  groth16::ProveResult ok = ProveCore(pk, cs, cs.values(), &rng);
+  ASSERT_TRUE(ok.ok());
+  EXPECT_TRUE(groth16::Verify(pk.vk(), {Fr::FromU64(35)}, ok.proof));
+}
+
+TEST(ProveCore, AssignmentOneWireShortIsBadLength) {
+  Rng rng(622);
+  ConstraintSystem cs = CubicCircuit(3, 35);
+  const auto pk = groth16::Setup(cs, &rng);
+  std::vector<Fr> short_assignment = cs.values();
+  short_assignment.pop_back();
+  ExpectError(ProveCore(pk, cs, short_assignment, &rng), ErrorCode::kBadLength, "4 values");
+}
+
+TEST(ProveCore, WireZeroNotOneIsMismatch) {
+  Rng rng(623);
+  ConstraintSystem cs = CubicCircuit(3, 35);
+  const auto pk = groth16::Setup(cs, &rng);
+  std::vector<Fr> assignment = cs.values();
+  assignment[kOneVar] = Fr::FromU64(2);
+  ExpectError(ProveCore(pk, cs, assignment, &rng), ErrorCode::kMismatch, "wire 0");
+}
+
+// The first violated row is named, whatever the thread count: rows 300 and
+// 550 of a squaring chain fall in different parallel shares.
+TEST(ProveCore, UnsatisfiedRowIsNamedByIndex) {
+  ConstraintSystem cs;
+  Var acc = cs.AddPublicInput(Fr::FromU64(3));
+  Fr acc_val = Fr::FromU64(3);
+  for (size_t i = 0; i < 600; ++i) {
+    acc_val = acc_val * acc_val;
+    Var next = cs.AddWitness(acc_val);
+    cs.Enforce(LC(acc), LC(acc), LC(next));
+    acc = next;
+  }
+  Rng rng(624);
+  const auto pk = groth16::Setup(cs, &rng);
+  // Row i squares wire i + 1 into wire i + 2.
+  std::vector<Fr> assignment = cs.values();
+  assignment[552] = assignment[552] + Fr::One();
+  ExpectError(ProveCore(pk, cs, assignment, &rng), ErrorCode::kMismatch, "constraint 550");
+  assignment[302] = assignment[302] + Fr::One();
+  for (size_t threads : {size_t{1}, size_t{2}, size_t{4}}) {
+    ThreadPool::SetGlobalThreads(threads);
+    ExpectError(ProveCore(pk, cs, assignment, &rng), ErrorCode::kMismatch,
+                "violates constraint 300");
+  }
+  ThreadPool::SetGlobalThreads(0);  // restore the environment default
+  // The three-argument forward throws instead.
+  ConstraintSystem bad = cs;
+  bad.SetValueForTest(302, assignment[302]);
+  EXPECT_THROW(groth16::Prove(pk, bad, &rng), std::invalid_argument);
+}
+
+TEST(ProveCore, FiredTokenIsCancelled) {
+  Rng rng(625);
+  ConstraintSystem cs = CubicCircuit(3, 35);
+  const auto pk = groth16::Setup(cs, &rng);
+  CancellationSource source;
+  source.Cancel();
+  groth16::ProveResult result;
+  EXPECT_NO_THROW(result = groth16::Prove(pk, cs, cs.values(), &rng, source.token(), nullptr));
+  ExpectError(result, ErrorCode::kCancelled, "token");
+}
+
+// The core proves `assignment`, not the values the circuit carries: the
+// same proof bytes as proving a circuit that carries that witness.
+TEST(ProveCore, ProvesTheAssignmentNotTheCircuitsValues) {
+  Rng setup_rng(626);
+  ConstraintSystem circuit = CubicCircuit(3, 35);
+  const auto pk = groth16::Setup(circuit, &setup_rng);
+  ConstraintSystem other = CubicCircuit(2, 15);
+  Rng rng_a(627), rng_b(627);
+  groth16::ProveResult core = ProveCore(pk, circuit, other.values(), &rng_a);
+  ASSERT_TRUE(core.ok());
+  EXPECT_EQ(core.proof.ToBytes(), groth16::Prove(pk, other, &rng_b).ToBytes());
+  EXPECT_TRUE(groth16::Verify(pk.vk(), {Fr::FromU64(15)}, core.proof));
+  EXPECT_FALSE(groth16::Verify(pk.vk(), {Fr::FromU64(35)}, core.proof));
+}
+
 TEST(Groth16, TamperedProofRejected) {
   ConstraintSystem cs = CubicCircuit(2, 15);  // 8 + 2 + 5
   Rng rng(603);
@@ -115,20 +273,20 @@ TEST(Groth16, ProofSerializationIs128Bytes) {
 
   Bytes encoded = proof.ToBytes();
   EXPECT_EQ(encoded.size(), 128u);  // the paper's raw proof size (§2.3, Fig. 7)
-  auto decoded = groth16::Proof::FromBytes(encoded);
-  EXPECT_TRUE(decoded.a.Equals(proof.a));
-  EXPECT_TRUE(decoded.b.Equals(proof.b));
-  EXPECT_TRUE(decoded.c.Equals(proof.c));
-  EXPECT_TRUE(groth16::Verify(pk.vk(), {Fr::FromU64(35)}, decoded));
+  Result<groth16::Proof> decoded = groth16::Proof::TryFromBytes(encoded);
+  ASSERT_TRUE(decoded.ok());
+  EXPECT_TRUE(decoded.value().a.Equals(proof.a));
+  EXPECT_TRUE(decoded.value().b.Equals(proof.b));
+  EXPECT_TRUE(decoded.value().c.Equals(proof.c));
+  EXPECT_TRUE(groth16::Verify(pk.vk(), {Fr::FromU64(35)}, decoded.value()));
 
-  EXPECT_THROW(groth16::Proof::FromBytes(Bytes(127)), std::invalid_argument);
+  EXPECT_FALSE(groth16::Proof::TryFromBytes(Bytes(127)).ok());
   Bytes corrupt = encoded;
   corrupt[5] ^= 0xff;
   // Either decode fails (x not on curve) or the proof no longer verifies.
-  try {
-    auto p2 = groth16::Proof::FromBytes(corrupt);
-    EXPECT_FALSE(groth16::Verify(pk.vk(), {Fr::FromU64(35)}, p2));
-  } catch (const std::invalid_argument&) {
+  Result<groth16::Proof> p2 = groth16::Proof::TryFromBytes(corrupt);
+  if (p2.ok()) {
+    EXPECT_FALSE(groth16::Verify(pk.vk(), {Fr::FromU64(35)}, p2.value()));
   }
 }
 

@@ -4,9 +4,8 @@
 // Jacobian-coordinate mismatch in an MSM result indicates the chunk grid or
 // merge order leaked the thread count. Sizes deliberately straddle the
 // signed-affine kernel's fixed chunk grid of max(512, 8 * 2^(c-1)) points,
-// the ParallelFor min-chunk sizes, and BatchInvert's 2*1024 block
-// threshold; witness-shaped inputs run every part of MsmAffine's density
-// split.
+// the ParallelFor min-chunk sizes, and BatchInvert's 1024-element block
+// grid; witness-shaped inputs run every part of MsmAffine's density split.
 #include <gtest/gtest.h>
 
 #include <functional>
@@ -256,8 +255,9 @@ TEST_F(ParallelDeterminism, FftIfftRoundTrips) {
 
 TEST_F(ParallelDeterminism, BatchInvertBlockedMatchesSerial) {
   Rng rng(99);
-  // 2048 is the blocked-path threshold (2 * kBatchInvertBlock); 100 stays
-  // serial, 5000 spans a partial final block.
+  // BatchInvert inverts 1024-element blocks (BatchToAffine's grid): 100 is
+  // one partial block, 2047 one full block and a partial one, 2048 two full
+  // blocks, 5000 four full blocks and a partial one.
   for (size_t n : {100u, 2047u, 2048u, 5000u}) {
     std::vector<Fr> input(n);
     for (size_t i = 0; i < n; ++i) {

@@ -182,9 +182,9 @@ TEST(SanEncoding, RoundTrip128Bytes) {
     // Ends with the domain.
     EXPECT_NE(san.find("example.com"), std::string::npos);
   }
-  auto decoded = DecodeProofSans(sans, domain);
-  ASSERT_TRUE(decoded.has_value());
-  EXPECT_EQ(*decoded, proof);
+  Result<Bytes> decoded = DecodeProofFromSans(sans, domain);
+  ASSERT_TRUE(decoded.ok());
+  EXPECT_EQ(decoded.value(), proof);
 }
 
 TEST(SanEncoding, MultiSanSplitForLongDomains) {
@@ -194,9 +194,9 @@ TEST(SanEncoding, MultiSanSplitForLongDomains) {
   DnsName domain = DnsName::FromString(long_label + "." + long_label + "." + long_label + ".com");
   auto sans = EncodeProofSans(proof, domain);
   EXPECT_GE(sans.size(), 2u);  // labels spread across n0pe. / n1pe.
-  auto decoded = DecodeProofSans(sans, domain);
-  ASSERT_TRUE(decoded.has_value());
-  EXPECT_EQ(*decoded, proof);
+  Result<Bytes> decoded = DecodeProofFromSans(sans, domain);
+  ASSERT_TRUE(decoded.ok());
+  EXPECT_EQ(decoded.value(), proof);
 }
 
 TEST(SanEncoding, ChecksumCatchesCorruption) {
@@ -208,13 +208,13 @@ TEST(SanEncoding, ChecksumCatchesCorruption) {
   std::string& san = sans[0];
   size_t pos = san.find('.') + 3;
   san[pos] = san[pos] == 'a' ? 'b' : 'a';
-  EXPECT_FALSE(DecodeProofSans(sans, domain).has_value());
+  EXPECT_FALSE(DecodeProofFromSans(sans, domain).ok());
 }
 
 TEST(SanEncoding, MissingOrForeignSansIgnored) {
   DnsName domain = DnsName::FromString("example.com");
-  EXPECT_FALSE(DecodeProofSans({"www.example.com"}, domain).has_value());
-  EXPECT_FALSE(DecodeProofSans({}, domain).has_value());
+  EXPECT_FALSE(DecodeProofFromSans({"www.example.com"}, domain).ok());
+  EXPECT_FALSE(DecodeProofFromSans({}, domain).ok());
 }
 
 TEST(SanEncoding, MissingSansReportedAsMissing) {

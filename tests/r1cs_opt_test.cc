@@ -177,13 +177,6 @@ TEST(Optimizer, UnifiesDuplicateGadgetSpans) {
   // Lift reconstructs the duplicate instance's wires from the original's.
   std::vector<Fr> lifted = res.LiftAssignment(res.MapAssignment(cs.values()));
   EXPECT_TRUE(cs.SatisfiedBy(lifted));
-
-  // A disabled unify pass leaves both instances in place.
-  OptimizeOptions off;
-  off.unify_spans = false;
-  OptimizeResult res_off = Optimize(cs, off);
-  EXPECT_EQ(res_off.stats.unified_spans, 0u);
-  EXPECT_GT(res_off.cs.NumConstraints(), res.cs.NumConstraints());
 }
 
 TEST(Optimizer, DoesNotUnifyPureAllocationSpans) {
@@ -459,11 +452,12 @@ TEST(OptimizerStatement, RotationMatchesPerRotationOptimize) {
     // moves proof bytes; the digests pin them.
     EXPECT_EQ(BytesDigest(bundle.proof.ToBytes()),
               options.optimize_circuit ? 0x3375ce42cfef7969ull : 0xdd932a33aed39ff1ull);
-    groth16::Proof decoded =
-        groth16::Proof::FromBytes(DecodeProofFromSans(bundle.sans, f.domain).value());
+    Result<groth16::Proof> decoded =
+        groth16::Proof::TryFromBytes(DecodeProofFromSans(bundle.sans, f.domain).value());
+    ASSERT_TRUE(decoded.ok());
     std::vector<Fr> pub = NopePublicInputs(dep.params, f.domain, TlsKeyDigest(tls_key),
                                            CaNameDigest("Example CA"), TruncateTimestamp(now));
-    EXPECT_TRUE(groth16::Verify(dep.vk(), pub, decoded));
+    EXPECT_TRUE(groth16::Verify(dep.vk(), pub, decoded.value()));
 
     EXPECT_EQ(dep.statement_wires, cs.NumVariables());
     EXPECT_EQ(dep.circuit_wires.size(), dep.pk.a_query.size());
@@ -478,6 +472,22 @@ TEST(OptimizerStatement, RotationMatchesPerRotationOptimize) {
       EXPECT_LT(optimized_wires, dep.circuit_wires.size());
     }
   }
+}
+
+TEST(OptimizerStatement, CountModeSynthesisGivesProveModeValues) {
+  // A key rotation synthesizes its statement in kCount mode and reads only
+  // the values; no gadget branches on the mode, so they are the kProve
+  // values, without the matrices.
+  OptStatementFixture f;
+  StatementWitness w = f.Witness(0xaa);
+  ConstraintSystem proved;
+  BuildNopeStatement(&proved, f.Params(), w);
+  ConstraintSystem counted(ConstraintSystem::Mode::kCount);
+  BuildNopeStatement(&counted, f.Params(), w);
+  EXPECT_EQ(counted.NumConstraints(), proved.NumConstraints());
+  EXPECT_EQ(counted.NumPublic(), proved.NumPublic());
+  EXPECT_TRUE(counted.constraints().empty());
+  EXPECT_TRUE(counted.values() == proved.values());
 }
 
 TEST(OptimizerStatement, RotationRejectsCircuitThatDoesNotFit) {

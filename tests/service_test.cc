@@ -457,6 +457,56 @@ ScenarioArtifacts RunMixedScenario() {
   return art;
 }
 
+// A job whose checked-out key was set up for another circuit ends kFailed
+// with Prove's reason instead of throwing out of PumpOne, and the service
+// goes on: the next job, with the right key, proves and verifies.
+TEST(ProvingService, Groth16JobWithAnotherCircuitsKeyFails) {
+  SimClock clock(1000);
+  MetricsRegistry metrics;
+  KeyCache cache(64u << 20, &metrics);
+  ProvingService service(ProvingServiceConfig{}, &clock, &cache, &metrics);
+
+  ConstraintSystem cs = CubicCircuit(3, 35);
+  ConstraintSystem one_product;
+  Var x = one_product.AddPublicInput(Fr::FromU64(3));
+  Var y = one_product.AddWitness(Fr::FromU64(9));
+  one_product.Enforce(LC(x), LC(x), LC(y));
+  auto loader_for = [](const ConstraintSystem* circuit) {
+    return [circuit]() -> std::shared_ptr<const CachedKey> {
+      Rng setup_rng(603);
+      auto entry = std::make_shared<ProvingKeyEntry>();
+      entry->pk = groth16::Setup(*circuit, &setup_rng);
+      return entry;
+    };
+  };
+  Rng prove_rng(604);
+  groth16::Proof wrong_proof, proof;
+  ProveRequest wrong;
+  wrong.domain = "a";
+  wrong.circuit_id = "one-product";
+  wrong.key_loader = loader_for(&one_product);
+  wrong.statement = MakeGroth16Statement(&cs, &prove_rng, &metrics, &clock, &wrong_proof);
+  ProveRequest right = wrong;
+  right.circuit_id = "cubic";
+  right.key_loader = loader_for(&cs);
+  right.statement = MakeGroth16Statement(&cs, &prove_rng, &metrics, &clock, &proof);
+  ASSERT_EQ(service.Submit(std::move(wrong)).admission, Admission::kAdmitted);
+  ASSERT_EQ(service.Submit(std::move(right)).admission, Admission::kAdmitted);
+
+  size_t ran = 0;
+  EXPECT_NO_THROW(ran = service.RunUntilIdle());
+  EXPECT_EQ(ran, 2u);
+  ASSERT_EQ(service.results().size(), 2u);
+  const JobResult& failed = service.results()[0];
+  EXPECT_EQ(failed.outcome, JobOutcome::kFailed);
+  EXPECT_EQ(failed.error, "mismatch: Prove: key A query length is 3, the circuit needs 5");
+  EXPECT_EQ(metrics.GetCounter("service.jobs_failed")->value(), 1u);
+  EXPECT_EQ(service.results()[1].outcome, JobOutcome::kOk);
+  auto key = cache.Checkout("cubic", loader_for(&cs));
+  EXPECT_TRUE(groth16::Verify(key.As<ProvingKeyEntry>()->pk.vk(), {Fr::FromU64(35)}, proof));
+  key.Release();
+}
+
 // EWMA cost model regression (ISSUE 8): when the true prove cost shifts, the
 // per-circuit estimate converges toward the observed cost, and shedding
 // decisions follow the estimate — both at admission and for already-queued
