@@ -6,7 +6,10 @@
 // second-level domain, ECDSA P-256 everywhere except the RSA-2048 root ZSK);
 // time and memory at those sizes are estimates from a cost model fitted to
 // real Groth16 runs at smaller sizes (the paper's italicized values are the
-// same kind of estimate).
+// same kind of estimate). The prover's FFTs and H query follow the
+// evaluation domain, not m, so each row also prints its domain size n (the
+// rung EvaluationDomain picks for m plus the public inputs) and the model
+// runs on n.
 #include <cmath>
 #include <cstdio>
 #include <cstring>
@@ -30,7 +33,7 @@ size_t PeakRssKb() {
 }
 
 struct ModelPoint {
-  size_t m;
+  size_t n;  // domain size
   double prove_seconds;
   size_t rss_kb;
 };
@@ -40,27 +43,30 @@ struct ModelPoint {
 int main(int argc, char** argv) {
   bool quick = argc > 1 && std::strcmp(argv[1], "--quick") == 0;
 
-  // --- Fit the m -> (time, memory) model from real Groth16 runs -------------
+  // --- Fit the n -> (time, memory) model from real Groth16 runs -------------
   printf("=== Figure 6: effect of NOPE's techniques (paper §8.3) ===\n\n");
   fprintf(stderr, "[model] fitting prover cost model from real Groth16 runs...\n");
   std::vector<ModelPoint> points;
   Rng rng(6001);
-  for (size_t n : {size_t{4096}, size_t{16384}, size_t{49152}}) {
-    ConstraintSystem cs = bench::SyntheticCircuit(n);
+  // m + 2 public inputs lands on 4,608 (9 * 2^9), 18,432 (9 * 2^11) and
+  // 65,536 (2^16) points.
+  for (size_t m : {size_t{4096}, size_t{16384}, size_t{49152}}) {
+    ConstraintSystem cs = bench::SyntheticCircuit(m);
+    const size_t n = EvaluationDomain::SizeFor(cs.NumConstraints() + cs.NumPublic());
     groth16::ProvingKey pk;
     double setup_s = bench::TimeMs([&] { pk = groth16::Setup(cs, &rng); }) / 1000.0;
     double prove_s = bench::TimeMs([&] { bench::Keep(groth16::Prove(pk, cs, &rng)); }) / 1000.0;
     points.push_back({n, prove_s, PeakRssKb()});
-    fprintf(stderr, "[model] m=%zu setup=%.2fs prove=%.2fs rss=%zuMB\n", n, setup_s, prove_s,
-            points.back().rss_kb / 1024);
+    fprintf(stderr, "[model] m=%zu n=%zu setup=%.2fs prove=%.2fs rss=%zuMB\n", m, n, setup_s,
+            prove_s, points.back().rss_kb / 1024);
   }
-  // time ~= c_t * m * log2(m); memory ~= c_m * m (+ base).
+  // time ~= c_t * n * log2(n); memory ~= c_m * n (+ base).
   const ModelPoint& big = points.back();
-  double c_time = big.prove_seconds / (big.m * std::log2(static_cast<double>(big.m)));
+  double c_time = big.prove_seconds / (big.n * std::log2(static_cast<double>(big.n)));
   double c_mem = static_cast<double>(points.back().rss_kb - points.front().rss_kb) /
-                 (points.back().m - points.front().m);  // kB per constraint
-  auto est_time = [&](size_t m) { return c_time * m * std::log2(static_cast<double>(m)); };
-  auto est_mem_gb = [&](size_t m) { return c_mem * m / (1024.0 * 1024.0); };
+                 (points.back().n - points.front().n);  // kB per domain point
+  auto est_time = [&](size_t n) { return c_time * n * std::log2(static_cast<double>(n)); };
+  auto est_mem_gb = [&](size_t n) { return c_mem * n / (1024.0 * 1024.0); };
 
   // --- Count each ablation row ------------------------------------------------
   struct Row {
@@ -82,6 +88,12 @@ int main(int argc, char** argv) {
                            {"+ crypto (SS5)", crypto},
                            {"+ misc.", misc}};
 
+  // Constraints and public inputs; the statement's public inputs are part
+  // of its domain.
+  struct Count {
+    size_t m;
+    size_t n;
+  };
   auto count_for = [&](const CryptoSuite& suite, StatementOptions options) {
     DnssecHierarchy dns(suite, 6002);
     dns.AddZone(DnsName::FromString("org"));
@@ -100,32 +112,40 @@ int main(int argc, char** argv) {
     witness.truncated_ts = 2916666;
     ConstraintSystem cs(ConstraintSystem::Mode::kCount);
     BuildNopeStatement(&cs, params, witness);
-    return cs.NumConstraints();
+    return Count{cs.NumConstraints(),
+                 EvaluationDomain::SizeFor(cs.NumConstraints() + cs.NumPublic())};
+  };
+  auto print_row = [&](const char* label, const Count& c) {
+    printf("  %-18s %12zu %12zu %8.1f s %7.2f GB\n", label, c.m, c.n, est_time(c.n),
+           est_mem_gb(c.n));
+  };
+  auto print_header = [] {
+    printf("  %-18s %12s %12s %10s %10s\n", "Techniques", "m", "domain n", "est time",
+           "est mem");
   };
 
   printf("Demo profile (toy suite; fully provable end-to-end):\n");
-  printf("  %-18s %12s %10s %10s\n", "Techniques", "m", "est time", "est mem");
+  print_header();
   for (const Row& row : rows) {
-    size_t m = count_for(CryptoSuite::Toy(), row.options);
-    printf("  %-18s %12zu %8.1f s %7.2f GB\n", row.label, m, est_time(m), est_mem_gb(m));
+    print_row(row.label, count_for(CryptoSuite::Toy(), row.options));
   }
 
   if (!quick) {
     printf("\nPaper profile (RSA-2048 root + ECDSA P-256, second-level domain):\n");
-    printf("  %-18s %12s %10s %10s\n", "Techniques", "m", "est time", "est mem");
+    print_header();
     fprintf(stderr, "[paper-scale] building count-only circuits (this takes minutes)...\n");
     size_t m_baseline = 0;
     size_t m_final = 0;
     for (const Row& row : rows) {
       bench::Timer timer;
-      size_t m = count_for(CryptoSuite::Real(), row.options);
-      fprintf(stderr, "[paper-scale] %-18s m=%zu (built in %.1fs)\n", row.label, m,
+      const Count c = count_for(CryptoSuite::Real(), row.options);
+      fprintf(stderr, "[paper-scale] %-18s m=%zu n=%zu (built in %.1fs)\n", row.label, c.m, c.n,
               timer.Seconds());
-      printf("  %-18s %12zu %8.1f s %7.2f GB\n", row.label, m, est_time(m), est_mem_gb(m));
+      print_row(row.label, c);
       if (m_baseline == 0) {
-        m_baseline = m;
+        m_baseline = c.m;
       }
-      m_final = m;
+      m_final = c.m;
     }
     printf("\nOverall reduction: %.1fx (paper: 10.15M -> 1.13M, ~9x).\n",
            static_cast<double>(m_baseline) / m_final);
@@ -139,7 +159,7 @@ int main(int argc, char** argv) {
   // Constraint counts for the toy suite's ablation endpoints (cheap to
   // compute in --quick runs).
   const bench::Emitter emit("fig6_ablation");
-  emit("toy_m_baseline", count_for(CryptoSuite::Toy(), rows.front().options));
-  emit("toy_m_final", count_for(CryptoSuite::Toy(), rows.back().options));
+  emit("toy_m_baseline", count_for(CryptoSuite::Toy(), rows.front().options).m);
+  emit("toy_m_final", count_for(CryptoSuite::Toy(), rows.back().options).m);
   return 0;
 }

@@ -88,9 +88,10 @@ echo "=== stage 4c: SIMD backend digest identity ==="
 # NOPE_SIMD env is read once per process), so it cannot live in a gtest:
 # run the digest binary under every backend x thread-count combination and
 # require bit-identical stdout. Covers MSM result bytes, full Groth16
-# proof bytes, the outputs of a 2^12 FFT chain, witness-shaped G1/G2
-# MSMs (mostly zero and one scalars) that run every part of MsmAffine's
-# density split (the short-scalar part, the GLV tail and the G2 tail),
+# proof bytes, the outputs of a 2^12 FFT chain and of a 9 * 2^10 one (the
+# radix-3 butterflies), witness-shaped G1/G2 MSMs (mostly zero and one
+# scalars) that run every part of MsmAffine's density split (the
+# short-scalar part, the GLV tail and the G2 tail),
 # P-256 keys, signatures and verdicts, a prepared key's IC sums and every
 # point of a seeded trusted setup, all on tables that BatchToAffine builds
 # on the SIMD backend. An unset NOPE_SIMD picks the widest kernel, so on an
@@ -99,7 +100,7 @@ echo "=== stage 4c: SIMD backend digest identity ==="
 cmake --build build -j "$(nproc)" --target simd_determinism_main fp_simd_test >/dev/null
 ref="$(NOPE_SIMD=off NOPE_THREADS=1 ./build/tests/simd_determinism_main 2>/dev/null)"
 # The reference must also match the digests pinned in the binary's header.
-pinned="$(grep -oE '(msm|proof|fft|witness_msm|ecdsa|ic|setup)_digest=[0-9a-f]{16}' \
+pinned="$(grep -oE '(msm|proof|fft|witness_msm|ecdsa|ic|setup|radix3)_digest=[0-9a-f]{16}' \
   tests/simd_determinism_main.cc)"
 if [ "$ref" != "$pinned" ]; then
   echo "FAILED: digests differ from those pinned in simd_determinism_main.cc" >&2

@@ -316,7 +316,6 @@ ProvingKey Setup(const ConstraintSystem& cs, Rng* rng) {
   ProvingKey pk;
   pk.num_public = num_public;
   pk.num_constraints = num_constraints;
-  pk.domain_size = domain.size();
 
   VerifyingKey vk;
   vk.alpha_g1 = t1.Mul(ToStdLimbs(alpha));

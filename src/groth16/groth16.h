@@ -101,7 +101,6 @@ struct ProvingKey {
   std::vector<G1Affine> h_query;     // [tau^i Z(tau)/delta]1, i < domain-1
   size_t num_public = 0;
   size_t num_constraints = 0;
-  size_t domain_size = 0;
 };
 
 // Statement-specific one-time setup. The constraint system may carry any

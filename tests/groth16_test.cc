@@ -7,6 +7,7 @@
 #include <utility>
 #include <vector>
 
+#include "bench/bench_util.h"
 #include "src/base/threadpool.h"
 
 namespace nope {
@@ -359,6 +360,24 @@ TEST(Groth16, LargerRandomCircuit) {
   EXPECT_FALSE(groth16::Verify(pk.vk(), {acc_val + Fr::One()}, proof));
 }
 
+// SyntheticCircuit(n) has n constraints and 2 public inputs (wire 0 and
+// x_0 = 2), so n + 2 points: exactly on a 2^k, a 3 * 2^k and a 9 * 2^k rung,
+// and one point above each.
+TEST(Groth16, ProvesOnEveryKindOfRung) {
+  const std::pair<size_t, size_t> cases[] = {{62, 64},   {63, 72},  {94, 96},
+                                             {95, 128},  {142, 144}, {143, 192}};
+  Rng rng(614);
+  for (const auto& [constraints, rung] : cases) {
+    ConstraintSystem cs = bench::SyntheticCircuit(constraints);
+    ASSERT_EQ(cs.NumConstraints() + cs.NumPublic(), constraints + 2);
+    const groth16::ProvingKey pk = groth16::Setup(cs, &rng);
+    EXPECT_EQ(pk.h_query.size() + 1, rung) << constraints << " constraints";
+    const groth16::Proof proof = groth16::Prove(pk, cs, &rng);
+    EXPECT_TRUE(groth16::Verify(pk.vk(), {Fr::FromU64(2)}, proof)) << constraints;
+    EXPECT_FALSE(groth16::Verify(pk.vk(), {Fr::FromU64(3)}, proof)) << constraints;
+  }
+}
+
 // A verifying key with `inputs` public inputs on random ic points; the
 // other fields only feed the pairing that PrepareVerifyingKey precomputes.
 groth16::VerifyingKey RandomIcKey(Rng* rng, size_t inputs) {
@@ -450,31 +469,52 @@ TEST(Domain, FftRoundTrip) {
   EXPECT_EQ(coset, coeffs);
 }
 
-// out[k] = sum_i coeffs[i] * x_k^i at x_k = base * step^k, by Horner's rule:
-// the O(n^2) reference for every transform.
-std::vector<Fr> NaiveEvaluate(const std::vector<Fr>& coeffs, const Fr& base, const Fr& step) {
-  std::vector<Fr> out(coeffs.size());
-  Fr x = base;
-  for (Fr& value : out) {
-    Fr acc = Fr::Zero();
-    for (size_t i = coeffs.size(); i-- > 0;) {
-      acc = acc * x + coeffs[i];
-    }
-    value = acc;
-    x = x * step;
+TEST(Domain, SizeForClimbsTheLadder) {
+  const std::pair<size_t, size_t> ladder[] = {
+      {1, 2},           {3, 3},           {5, 6},           {7, 8},
+      {9, 9},           {10, 12},         {13, 16},         {307, 384},
+      {147456, 147456}, {147457, 196608}, {149320, 196608}, {196609, 262144},
+      {262144, 262144}, {1130000, 1179648}, {6878986, 8388608}};
+  for (const auto& [min_size, size] : ladder) {
+    EXPECT_EQ(EvaluationDomain::SizeFor(min_size), size) << "min_size = " << min_size;
   }
-  return out;
+  // The top rung; no domain is built this large.
+  const size_t cap = size_t{9} << 28;
+  EXPECT_EQ(EvaluationDomain::SizeFor(cap), cap);
+  EXPECT_DEATH(EvaluationDomain::SizeFor(cap + 1), "domain exceeds");
+}
+
+// sum_i coeffs[i] * x^i by Horner's rule: the O(n) reference for one output
+// of any transform.
+Fr Horner(const std::vector<Fr>& coeffs, const Fr& x) {
+  Fr acc = Fr::Zero();
+  for (size_t i = coeffs.size(); i-- > 0;) {
+    acc = acc * x + coeffs[i];
+  }
+  return acc;
 }
 
 TEST(Domain, TransformsMatchNaiveEvaluation) {
   Rng rng(612);
+  std::vector<size_t> sizes;
   for (size_t log_n = 1; log_n <= 10; ++log_n) {
-    const size_t n = size_t{1} << log_n;
+    sizes.push_back(size_t{1} << log_n);
+  }
+  for (size_t n : {3, 6, 9, 12, 18, 36, 3 << 10, 9 << 10}) {
+    sizes.push_back(n);
+  }
+  for (size_t n : sizes) {
     EvaluationDomain d(n);
     ASSERT_EQ(d.size(), n);
+    // omega has order exactly n, whose only prime factors are 2 and 3.
     const Fr omega = d.omega();
     ASSERT_EQ(omega.Pow(BigUInt(n)), Fr::One());
-    ASSERT_NE(omega.Pow(BigUInt(n / 2)), Fr::One());
+    if (n % 2 == 0) {
+      ASSERT_NE(omega.Pow(BigUInt(n / 2)), Fr::One()) << "n = " << n;
+    }
+    if (n % 3 == 0) {
+      ASSERT_NE(omega.Pow(BigUInt(n / 3)), Fr::One()) << "n = " << n;
+    }
     const Fr omega_inv = omega.Inverse();
     const Fr n_inv = Fr::FromU64(n).Inverse();
     // The coset g*H, read off the transform of the polynomial x; g^n != 1
@@ -491,29 +531,52 @@ TEST(Domain, TransformsMatchNaiveEvaluation) {
     for (Fr& c : input) {
       c = Fr::Random(&rng);
     }
+    // Every output up to 1,024 points; above that a seeded sample of 64,
+    // which keeps the case fast under the sanitizers.
+    std::vector<size_t> outputs;
+    if (n <= 1024) {
+      for (size_t k = 0; k < n; ++k) {
+        outputs.push_back(k);
+      }
+    } else {
+      for (int i = 0; i < 64; ++i) {
+        outputs.push_back(rng.NextBelow(n));
+      }
+    }
+    // Output k of each transform is scale * scale_step^k * Horner(input,
+    // base * step^k): Fft evaluates at omega^k, CosetFft at g * omega^k,
+    // Ifft is (1/n) sum_i v_i omega^-ik, and CosetIfft also scales
+    // coefficient k by g^-k.
+    using Transform =
+        void (EvaluationDomain::*)(std::vector<Fr>*, const CancellationToken*) const;
+    struct Case {
+      Transform transform;
+      const char* name;
+      Fr base, step, scale, scale_step;
+    };
+    const Case cases[] = {
+        {&EvaluationDomain::Fft, "Fft", Fr::One(), omega, Fr::One(), Fr::One()},
+        {&EvaluationDomain::CosetFft, "CosetFft", g, omega, Fr::One(), Fr::One()},
+        {&EvaluationDomain::Ifft, "Ifft", Fr::One(), omega_inv, n_inv, Fr::One()},
+        {&EvaluationDomain::CosetIfft, "CosetIfft", Fr::One(), omega_inv, n_inv, g_inv},
+    };
+    for (const Case& c : cases) {
+      std::vector<Fr> v = input;
+      (d.*c.transform)(&v, nullptr);
+      for (size_t k : outputs) {
+        const BigUInt e(static_cast<uint64_t>(k));
+        ASSERT_EQ(v[k], Horner(input, c.base * c.step.Pow(e)) * c.scale * c.scale_step.Pow(e))
+            << c.name << ", n = " << n << ", k = " << k;
+      }
+    }
+
     std::vector<Fr> v = input;
     d.Fft(&v);
-    EXPECT_EQ(v, NaiveEvaluate(input, Fr::One(), omega)) << "Fft, n = " << n;
-
-    v = input;
-    d.CosetFft(&v);
-    EXPECT_EQ(v, NaiveEvaluate(input, g, omega)) << "CosetFft, n = " << n;
-
-    // Ifft: c_i = (1/n) sum_k v_k omega^-ik; CosetIfft also scales c_i by g^-i.
-    std::vector<Fr> inverse = NaiveEvaluate(input, Fr::One(), omega_inv);
-    std::vector<Fr> coset_inverse(n);
-    Fr scale = n_inv;
-    for (size_t i = 0; i < n; ++i) {
-      coset_inverse[i] = inverse[i] * scale;
-      inverse[i] = inverse[i] * n_inv;
-      scale = scale * g_inv;
-    }
-    v = input;
     d.Ifft(&v);
-    EXPECT_EQ(v, inverse) << "Ifft, n = " << n;
-    v = input;
+    EXPECT_EQ(v, input) << "Fft then Ifft, n = " << n;
+    d.CosetFft(&v);
     d.CosetIfft(&v);
-    EXPECT_EQ(v, coset_inverse) << "CosetIfft, n = " << n;
+    EXPECT_EQ(v, input) << "CosetFft then CosetIfft, n = " << n;
   }
 }
 
@@ -526,24 +589,26 @@ TEST(Domain, VanishingPolynomial) {
 }
 
 TEST(Domain, LagrangeInterpolation) {
-  EvaluationDomain d(4);
   Rng rng(610);
-  Fr tau = Fr::Random(&rng);
-  std::vector<Fr> lag = d.LagrangeAt(tau);
-  // Sum of Lagrange basis values is 1.
-  Fr sum = Fr::Zero();
-  for (const Fr& l : lag) {
-    sum = sum + l;
+  for (size_t n : {4, 6, 9}) {
+    EvaluationDomain d(n);
+    Fr tau = Fr::Random(&rng);
+    std::vector<Fr> lag = d.LagrangeAt(tau);
+    // Sum of Lagrange basis values is 1.
+    Fr sum = Fr::Zero();
+    for (const Fr& l : lag) {
+      sum = sum + l;
+    }
+    EXPECT_EQ(sum, Fr::One()) << "n = " << n;
+    // Interpolating x^2 through its evaluations reproduces tau^2.
+    Fr point = Fr::One();
+    Fr acc = Fr::Zero();
+    for (size_t j = 0; j < d.size(); ++j) {
+      acc = acc + lag[j] * point.Square();
+      point = point * d.omega();
+    }
+    EXPECT_EQ(acc, tau.Square()) << "n = " << n;
   }
-  EXPECT_EQ(sum, Fr::One());
-  // Interpolating x^2 through its evaluations reproduces tau^2.
-  Fr point = Fr::One();
-  Fr acc = Fr::Zero();
-  for (size_t j = 0; j < d.size(); ++j) {
-    acc = acc + lag[j] * point.Square();
-    point = point * d.omega();
-  }
-  EXPECT_EQ(acc, tau.Square());
 }
 
 TEST(BatchInvertTest, MatchesIndividualInverses) {

@@ -206,7 +206,7 @@ TEST_F(ParallelDeterminism, BatchToAffineBitIdenticalAcrossThreadCounts) {
 
 TEST_F(ParallelDeterminism, FftFamilyBitIdenticalAcrossThreadCounts) {
   Rng rng(31337);
-  for (size_t n : {8u, 2048u, 4096u}) {
+  for (size_t n : {6u, 8u, 9u, 2048u, 4096u, 3u << 11, 9u << 10}) {
     EvaluationDomain domain(n);
     std::vector<Fr> input(domain.size());
     for (auto& v : input) {
@@ -250,6 +250,31 @@ TEST_F(ParallelDeterminism, FftIfftRoundTrips) {
   domain.Ifft(&work);
   for (size_t i = 0; i < input.size(); ++i) {
     ASSERT_EQ(input[i], work[i]) << "index=" << i;
+  }
+
+  // The Toy rotation's rung, 3 * 2^16: the forward transform's bytes match
+  // across thread counts and the inverse returns the input.
+  EvaluationDomain rung(3u << 16);
+  ASSERT_EQ(rung.size(), 3u << 16);
+  std::vector<Fr> coeffs(rung.size());
+  for (auto& v : coeffs) {
+    v = Fr::Random(&rng);
+  }
+  std::vector<Fr> reference;
+  for (size_t t : {1u, 2u, 7u}) {
+    ThreadPool::SetGlobalThreads(t);
+    std::vector<Fr> evals = coeffs;
+    rung.Fft(&evals);
+    if (reference.empty()) {
+      reference = evals;
+    }
+    for (size_t i = 0; i < evals.size(); ++i) {
+      ASSERT_EQ(reference[i], evals[i]) << "threads=" << t << " index=" << i;
+    }
+    rung.Ifft(&evals);
+    for (size_t i = 0; i < evals.size(); ++i) {
+      ASSERT_EQ(coeffs[i], evals[i]) << "threads=" << t << " index=" << i;
+    }
   }
 }
 

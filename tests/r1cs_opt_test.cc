@@ -451,7 +451,7 @@ TEST(OptimizerStatement, RotationMatchesPerRotationOptimize) {
     // The oracle runs the same Prove, so it cannot see a prover change that
     // moves proof bytes; the digests pin them.
     EXPECT_EQ(BytesDigest(bundle.proof.ToBytes()),
-              options.optimize_circuit ? 0x3375ce42cfef7969ull : 0xdd932a33aed39ff1ull);
+              options.optimize_circuit ? 0xb9bd2b3e6ff9c29bull : 0x6b871d4ed0cb44ebull);
     Result<groth16::Proof> decoded =
         groth16::Proof::TryFromBytes(DecodeProofFromSans(bundle.sans, f.domain).value());
     ASSERT_TRUE(decoded.ok());

@@ -3,22 +3,24 @@
 // FFTs, (d) seeded witness-shaped G1 and G2 MSMs (tests/witness_mix.h:
 // mostly zero and one scalars, so every part of MsmAffine's density split
 // runs), (e) seeded P-256 keys, RFC 6979 signatures and verdicts, (f) a
-// seeded prepared key's public-input sums and (g) every point of a seeded
-// Groth16 Setup, affine. (e), (f) and (g) run on tables built by
-// BatchToAffine: the odd multiples of P-256's generator, the prepared key's
-// IC tables and Setup's generator tables. Not a gtest: ci.sh runs this
-// binary under different NOPE_SIMD / NOPE_THREADS environments and diffs
-// the stdout, pinning the cross-process determinism contract (proof and
+// seeded prepared key's public-input sums, (g) every point of a seeded
+// Groth16 Setup, affine, and (h) a seeded chain of FFTs on a 9 * 2^10
+// domain, which runs both radix-3 stages. (e), (f) and (g) run on tables
+// built by BatchToAffine: the odd multiples of P-256's generator, the
+// prepared key's IC tables and Setup's generator tables. Not a gtest: ci.sh
+// runs this binary under different NOPE_SIMD / NOPE_THREADS environments and
+// diffs the stdout, pinning the cross-process determinism contract (proof and
 // transform bytes bit-identical across SIMD backends and thread counts).
 // The env is read once per process, so the comparison must span processes.
 // Every build and backend prints
 //   msm_digest=c31aa84fae27c583
-//   proof_digest=4de343c1606a9c77
+//   proof_digest=8706f4e88de61cdd
 //   fft_digest=b8b5a41a944a3c13
 //   witness_msm_digest=422eb994f89fcbc6
 //   ecdsa_digest=3e5d18f1239d01f3
 //   ic_digest=b2beb92e028cc3c0
-//   setup_digest=b53cc63ab99294a7
+//   setup_digest=c320321d229d593b
+//   radix3_digest=f730498b21b4e597
 #include <cstdint>
 #include <cstdio>
 
@@ -101,14 +103,13 @@ uint64_t ProofDigest() {
   return Fnv1a(enc.data(), enc.size());
 }
 
-// A seeded 2^12 chain Fft -> Ifft -> CosetFft -> CosetIfft, digesting every
-// transform's output (the round trips would otherwise hide a stage). Its
-// 2048-butterfly stages run the full-width batched twiddle multiplies that
-// the proof digest's 8-point domain never reaches.
-uint64_t FftDigest() {
+// A seeded chain Fft -> Ifft -> CosetFft -> CosetIfft on a domain of `size`
+// points, digesting every transform's output (the round trips would
+// otherwise hide a stage).
+uint64_t TransformChainDigest(size_t size, uint64_t seed) {
   using Transform = void (EvaluationDomain::*)(std::vector<Fr>*, const CancellationToken*) const;
-  Rng rng(314159);
-  EvaluationDomain domain(size_t{1} << 12);
+  Rng rng(seed);
+  EvaluationDomain domain(size);
   std::vector<Fr> v(domain.size());
   for (Fr& x : v) {
     x = Fr::Random(&rng);
@@ -124,6 +125,14 @@ uint64_t FftDigest() {
   }
   return h;
 }
+
+// 2^12 points: its 2048-butterfly stages run the full-width batched twiddle
+// multiplies that the proof digest's 6-point domain never reaches.
+uint64_t FftDigest() { return TransformChainDigest(size_t{1} << 12, 314159); }
+
+// 9 * 2^10 points: ten radix-2 stages, then radix-3 stages of span 2^10 and
+// 3 * 2^10 with their batched twiddle and cube-root multiplies.
+uint64_t Radix3Digest() { return TransformChainDigest(size_t{9} << 10, 220022); }
 
 // Keys, signatures and verdicts on the message and on a corrupted copy.
 uint64_t EcdsaDigest() {
@@ -184,8 +193,8 @@ uint64_t PointsDigest(const std::vector<AffinePoint<Config>>& points, uint64_t h
 
 // Every point of a seeded Setup, affine: the five query tables, the
 // verifying key, beta_g1 and delta_g1, and the prepared key's IC tables.
-// The circuit has 3 public inputs and a 2^9 domain; each chain factor y_i
-// is zero in A and C, and the last link is zero in A and B.
+// The circuit has 3 public inputs and a 384-point (3 * 2^7) domain; each
+// chain factor y_i is zero in A and C, and the last link is zero in A and B.
 uint64_t SetupDigest() {
   Rng rng(200020);
   ConstraintSystem cs;
@@ -250,5 +259,7 @@ int main() {
               static_cast<unsigned long long>(nope::IcDigest()));
   std::printf("setup_digest=%016llx\n",
               static_cast<unsigned long long>(nope::SetupDigest()));
+  std::printf("radix3_digest=%016llx\n",
+              static_cast<unsigned long long>(nope::Radix3Digest()));
   return 0;
 }
